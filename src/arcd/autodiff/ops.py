@@ -4,6 +4,14 @@ Broadcasting is deliberately restricted to the cases the network uses:
 python scalars against tensors, per-channel bias inside ``matvec``/conv,
 and the two explicit attention products (``scale_channels``,
 ``scale_map``).  Anything else raises a ShapeError.
+
+Both convolutions share one GEMM core: the forward multiplies the
+reshaped kernel by an im2col patch matrix (for a 1x1 kernel at stride 1,
+the input itself), and the adjoint rebuilds that matrix for the weight
+gradient instead of keeping it alive until backward.  ``conv3d``
+accepts only a kernel spanning the whole time axis (kt == T, no time
+padding, equal spatial padding), the one case the network uses, which
+is ``conv2d`` with time folded into channels.
 """
 
 from __future__ import annotations
@@ -13,8 +21,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import (Tensor, ShapeError, accumulate, as_tensor, note_kink,
-                     record, same_shape)
+from .tensor import (Tensor, ShapeError, accumulate, as_tensor, kinks_active,
+                     note_kink, record, same_shape)
 
 __all__ = [
     "add", "sub", "mul", "div", "one_minus", "relu", "sigmoid", "log",
@@ -119,20 +127,20 @@ def one_minus(x: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     """max(x, 0); the subgradient at 0 is 0."""
-    mask = x.data > 0.0
-    note_kink(mask, float(np.abs(x.data).min()) if x.size else np.inf)
+    if kinks_active():
+        note_kink(x.data > 0.0,
+                  float(np.abs(x.data).min()) if x.size else np.inf)
     out = Tensor(np.maximum(x.data, 0.0))
-    return record("relu", (x,), out, lambda g: accumulate(x, g * mask))
+    return record("relu", (x,), out,
+                  lambda g: accumulate(x, g * (x.data > 0.0)))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     """Logistic function, overflow-safe for large |x|."""
     d = x.data
-    y = np.empty_like(d)
-    pos = d >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(d))
+    den = 1.0 + e
+    y = np.where(d >= 0, 1.0 / den, e / den)
     out = Tensor(y)
     return record("sigmoid", (x,), out,
                   lambda g: accumulate(x, g * y * (1.0 - y)))
@@ -147,9 +155,10 @@ def log(x: Tensor) -> Tensor:
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clip into [lo, hi]; gradient is zero where the bound binds."""
     inside = (x.data > lo) & (x.data < hi)
-    margin = float(np.minimum(np.abs(x.data - lo), np.abs(x.data - hi)).min()) \
-        if x.size else np.inf
-    note_kink(inside, margin)
+    if kinks_active():
+        note_kink(inside, float(np.minimum(np.abs(x.data - lo),
+                                           np.abs(x.data - hi)).min())
+                  if x.size else np.inf)
     out = Tensor(np.clip(x.data, lo, hi))
     return record("clamp", (x,), out, lambda g: accumulate(x, g * inside))
 
@@ -206,6 +215,106 @@ def reshape(x: Tensor, shape) -> Tensor:
 # Convolutions (cross-correlation convention, no kernel flip)
 # ---------------------------------------------------------------------------
 
+def _pad_hw(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """Zero-pad the last two axes by ph and pw per side; negative amounts crop."""
+    h, w = a.shape[-2:]
+    a = a[..., max(-ph, 0):h - max(-ph, 0), max(-pw, 0):w - max(-pw, 0)]
+    ph, pw = max(ph, 0), max(pw, 0)
+    if not (ph or pw):
+        return a
+    h, w = a.shape[-2:]
+    out = np.zeros(a.shape[:-2] + (h + 2 * ph, w + 2 * pw), dtype=a.dtype)
+    out[..., ph:ph + h, pw:pw + w] = a
+    return out
+
+
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int,
+            wo: int) -> np.ndarray:
+    """[N,C,Hp,Wp] -> [C*kh*kw, N*ho*wo] patch matrix: rows in weight
+    order, columns in output order.
+
+    The batch rides along the columns, so one GEMM covers it however
+    small the maps get.  A 1x1 kernel at stride 1 reads every pixel once:
+    its patch matrix is the input itself, a view when N == 1.
+    """
+    n, c = xp.shape[:2]
+    if kh == kw == stride == 1:
+        return xp.swapaxes(0, 1).reshape(c, n * ho * wo)
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride,
+                                                         ::stride]
+    # win: [N, C, H', W', kh, kw]; one copy puts it in weight order.
+    return np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(
+        c * kh * kw, n * ho * wo)
+
+
+def _batch_major(a: np.ndarray, n: int) -> np.ndarray:
+    """[C, N*P] -> contiguous [N, C, P]; no copy when N == 1."""
+    return np.ascontiguousarray(a.reshape(a.shape[0], n, -1).swapaxes(0, 1))
+
+
+def _conv(name: str, x: Tensor, weight: Tensor, bias, stride: int,
+          padding: int) -> Tensor:
+    """The one convolution core, a GEMM over an im2col patch matrix.
+
+    ``x`` is [N, C, ..., H, W] and ``weight`` [K, C, ..., kh, kw] whose
+    middle axes span the input's, so they fold into channels: the output
+    is [N, K, 1, ..., H', W'].  Callers validate shapes.
+    """
+    n, k = x.shape[0], weight.shape[0]
+    h, w = x.shape[-2:]
+    kh, kw = weight.shape[-2:]
+    xd = x.data.reshape(n, -1, h, w)
+    c = xd.shape[1]
+    wmat = weight.data.reshape(k, c * kh * kw)
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+
+    out_d = wmat @ _im2col(_pad_hw(xd, padding, padding),
+                           kh, kw, stride, ho, wo)
+    if bias is not None:
+        out_d += bias.data[:, None]
+    out = Tensor(_batch_major(out_d, n).reshape(
+        (n, k) + (1,) * (x.ndim - 4) + (ho, wo)))
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+
+    def adjoint(g):
+        g = g.reshape(n, k, ho, wo)
+        gmat = g.swapaxes(0, 1).reshape(k, n * ho * wo)
+        if bias is not None and bias.requires_grad:
+            accumulate(bias, gmat.sum(axis=1))
+        if weight.requires_grad:
+            # Rebuilt rather than kept from the forward: holding every
+            # patch matrix until backward costs more memory than time.
+            cols = _im2col(_pad_hw(xd, padding, padding),
+                           kh, kw, stride, ho, wo)
+            accumulate(weight, (gmat @ cols.T).reshape(weight.shape))
+        if not x.requires_grad:
+            return
+        if stride == 1:
+            # The input gradient is the same GEMM-shaped correlation of
+            # the padded output gradient with the flipped, transposed
+            # kernel.
+            wflip = weight.data.reshape(k, c, kh, kw)[:, :, ::-1, ::-1]
+            wflip = wflip.transpose(1, 0, 2, 3).reshape(c, k * kh * kw)
+            gp = _pad_hw(g, kh - 1 - padding, kw - 1 - padding)
+            gx = _batch_major(wflip @ _im2col(gp, kh, kw, 1, h, w), n)
+        else:
+            # Strided: one contraction to patch gradients, then scatter
+            # each tap back onto the padded input.
+            gcols = (wmat.T @ gmat).reshape(c, kh, kw, n, ho, wo)
+            gxp = np.zeros((c, n, h + 2 * padding, w + 2 * padding),
+                           dtype=gcols.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    gxp[:, :, i:i + stride * ho:stride,
+                        j:j + stride * wo:stride] += gcols[:, i, j]
+            gx = np.ascontiguousarray(
+                _pad_hw(gxp, -padding, -padding).swapaxes(0, 1))
+        accumulate(x, gx.reshape(x.shape))
+
+    return record(name, inputs, out, adjoint)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias, stride: int = 1,
            padding: int = 0) -> Tensor:
     """2-d cross-correlation of [N,C,H,W] with [K,C,kh,kw] plus bias."""
@@ -230,44 +339,16 @@ def conv2d(x: Tensor, weight: Tensor, bias, stride: int = 1,
     if bias is not None and bias.shape != (k,):
         raise ShapeError(f"conv2d: bias shape {bias.shape} does not match "
                          f"{k} output channels (axis 1)")
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding),
-                         (padding, padding))) if padding else x.data
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # win: [N, C, H', W', kh, kw]
-    out_d = np.tensordot(win, weight.data, axes=([1, 4, 5], [1, 2, 3]))
-    out_d = np.ascontiguousarray(out_d.transpose(0, 3, 1, 2))
-    if bias is not None:
-        out_d += bias.data[None, :, None, None]
-    out = Tensor(out_d)
-    ho, wo = out_d.shape[2], out_d.shape[3]
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-
-    def adjoint(g):
-        if bias is not None and bias.requires_grad:
-            accumulate(bias, g.sum(axis=(0, 2, 3)))
-        if weight.requires_grad:
-            accumulate(weight,
-                       np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3])))
-        if x.requires_grad:
-            # d/d(window) in one contraction, then scatter the taps back.
-            gwin = np.tensordot(g, weight.data, axes=(1, 0))
-            gwin = gwin.transpose(0, 3, 1, 2, 4, 5)  # [N,C,H',W',kh,kw]
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                hi = i + stride * (ho - 1) + 1
-                for j in range(kw):
-                    wi = j + stride * (wo - 1) + 1
-                    gxp[:, :, i:hi:stride, j:wi:stride] += gwin[..., i, j]
-            if padding:
-                gxp = gxp[:, :, padding:padding + h, padding:padding + w]
-            accumulate(x, gxp)
-
-    return record("conv2d", inputs, out, adjoint)
+    return _conv("conv2d", x, weight, bias, stride, padding)
 
 
 def conv3d(x: Tensor, weight: Tensor, bias, padding=(0, 0, 0)) -> Tensor:
-    """3-d cross-correlation of [N,C,T,H,W] with [K,C,kt,kh,kw], stride 1."""
+    """3-d cross-correlation of [N,C,T,H,W] with [K,C,T,kh,kw], stride 1.
+
+    Only a kernel spanning the whole time axis is supported (kt == T, no
+    time padding, equal spatial padding), which makes it a conv2d of the
+    input with time folded into channels; the output is [N,K,1,H',W'].
+    """
     if x.ndim != 5:
         raise ShapeError(f"conv3d: input must be [N,C,T,H,W], got {x.shape}")
     if weight.ndim != 5:
@@ -283,42 +364,17 @@ def conv3d(x: Tensor, weight: Tensor, bias, padding=(0, 0, 0)) -> Tensor:
         if kdim > pdim:
             raise ShapeError(f"conv3d: kernel size {kdim} exceeds padded "
                              f"input size {pdim} (axis {ax})")
+    if kt != t or pt != 0:
+        raise ShapeError(f"conv3d: the kernel must span the time axis "
+                         f"unpadded (kt == T, no time padding), got kt={kt}, "
+                         f"T={t}, time padding {pt} (axis 2)")
+    if ph != pw:
+        raise ShapeError(f"conv3d: spatial padding must be equal on axes 3 "
+                         f"and 4, got {ph} and {pw}")
     if bias is not None and bias.shape != (k,):
         raise ShapeError(f"conv3d: bias shape {bias.shape} does not match "
                          f"{k} output channels (axis 1)")
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw))) \
-        if any(padding) else x.data
-    win = sliding_window_view(xp, (kt, kh, kw), axis=(2, 3, 4))
-    # win: [N, C, T', H', W', kt, kh, kw]
-    out_d = np.tensordot(win, weight.data, axes=([1, 5, 6, 7], [1, 2, 3, 4]))
-    out_d = np.ascontiguousarray(out_d.transpose(0, 4, 1, 2, 3))
-    if bias is not None:
-        out_d += bias.data[None, :, None, None, None]
-    out = Tensor(out_d)
-    to, ho, wo = out_d.shape[2:]
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-
-    def adjoint(g):
-        if bias is not None and bias.requires_grad:
-            accumulate(bias, g.sum(axis=(0, 2, 3, 4)))
-        if weight.requires_grad:
-            accumulate(weight,
-                       np.tensordot(g, win, axes=([0, 2, 3, 4], [0, 2, 3, 4])))
-        if x.requires_grad:
-            gwin = np.tensordot(g, weight.data, axes=(1, 0))
-            gwin = gwin.transpose(0, 4, 1, 2, 3, 5, 6, 7)
-            gxp = np.zeros_like(xp)
-            for u in range(kt):
-                for i in range(kh):
-                    for j in range(kw):
-                        gxp[:, :, u:u + to, i:i + ho, j:j + wo] += \
-                            gwin[..., u, i, j]
-            if any(padding):
-                gxp = gxp[:, :, pt:pt + t, ph:ph + h, pw:pw + w]
-            accumulate(x, gxp)
-
-    return record("conv3d", inputs, out, adjoint)
+    return _conv("conv3d", x, weight, bias, 1, ph)
 
 
 # ---------------------------------------------------------------------------

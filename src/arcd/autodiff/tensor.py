@@ -239,6 +239,15 @@ def collect_kinks():
         _STATE.kinks = prev
 
 
+def kinks_active() -> bool:
+    """Whether a :func:`collect_kinks` block is open on this thread.
+
+    Ops test it before computing a kink margin, a full reduction that
+    only the gradient checker reads.
+    """
+    return _STATE.kinks is not None
+
+
 def note_kink(pattern: np.ndarray, margin: float) -> None:
     if _STATE.kinks is not None:
         _STATE.kinks.append((pattern, margin))

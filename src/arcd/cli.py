@@ -12,11 +12,6 @@ import os
 import sys
 from pathlib import Path
 
-# Thread defaults must land before numpy starts BLAS pools.
-_threads = os.environ.get("ARCD_THREADS", "1")
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, _threads)
-
 import numpy as np
 
 from . import checkpoint, data, metrics

@@ -144,6 +144,10 @@ def build_suite() -> list[SuiteCase]:
             lambda x, w, b: projected_sum(
                 ops.conv2d(x, w, b, stride=2, padding=1), s),
             [(2, 3, 6, 6), (4, 3, 3, 3), (4,)], s)),
+        SuiteCase("conv2d_same", 1e-4, lambda s: gradcheck(
+            lambda x, w, b: projected_sum(
+                ops.conv2d(x, w, b, stride=1, padding=1), s),
+            [(2, 3, 5, 5), (4, 3, 3, 3), (4,)], s)),
         SuiteCase("conv2d_1x1", 1e-4, lambda s: gradcheck(
             lambda x, w, b: projected_sum(ops.conv2d(x, w, b), s),
             [(2, 4, 5, 5), (3, 4, 1, 1), (3,)], s)),

@@ -64,6 +64,20 @@ def test_division_gradients():
     assert report.ok(PRIMITIVE_TOL)
 
 
+@pytest.mark.parametrize("kernel,stride,padding", [
+    ((1, 1), 1, 1),   # padding wider than the kernel reach: cropped adjoint
+    ((3, 3), 1, 3),
+    ((3, 1), 1, 1),   # unequal kernel sides
+    ((3, 3), 3, 2),   # stride that leaves padded rows and columns unread
+])
+def test_conv2d_gradients_beyond_network_shapes(kernel, stride, padding):
+    report = gradcheck(
+        lambda x, w, b: projected_sum(
+            ops.conv2d(x, w, b, stride=stride, padding=padding), 4),
+        [(2, 3, 5, 6), (4, 3) + kernel, (4,)], seed=4)
+    assert report.ok(PRIMITIVE_TOL)
+
+
 def test_log_clamp_chain():
     report = gradcheck(
         lambda x: ops.mean_all(ops.log(ops.clamp(ops.sigmoid(x), 1e-7,

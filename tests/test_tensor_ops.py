@@ -105,6 +105,22 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="axis 2"):
             ops.conv2d(x, w, None)
 
+    @pytest.mark.parametrize("shape_w,stride,padding", [
+        ((5, 6, 1, 1), 1, 0),   # 1x1 at stride 1: the input is the patch matrix
+        ((5, 6, 3, 3), 2, 1),   # the encoders' strided, padded blocks
+    ])
+    def test_float32_matches_loop_oracle(self, shape_w, stride, padding):
+        rng = np.random.default_rng(sum(shape_w) + stride)
+        x = rng.standard_normal((2, 6, 9, 7)).astype(np.float32)
+        w = rng.standard_normal(shape_w).astype(np.float32)
+        b = rng.standard_normal(shape_w[0]).astype(np.float32)
+        got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride,
+                         padding=padding).data
+        want = naive_conv2d(x.astype(np.float64), w.astype(np.float64),
+                            b.astype(np.float64), stride, padding)
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert np.abs(got - want).max() / np.abs(want).max() < 1e-5
+
 
 class TestConv3d:
     def test_temporal_dot_product(self):
@@ -131,6 +147,37 @@ class TestConv3d:
         got = ops.conv3d(x, w, b, padding=(0, 1, 1)).data
         want = naive_conv3d(x.data, w.data, b.data, (0, 1, 1))
         assert np.abs(got - want).max() < 1e-12
+
+    def test_equals_conv2d_with_time_folded_into_channels(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.standard_normal((2, 3, 2, 5, 6)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, 2, 3, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+        x2 = Tensor(x.data.reshape(2, 6, 5, 6), requires_grad=True)
+        w2 = Tensor(w.data.reshape(4, 6, 3, 3), requires_grad=True)
+        b2 = Tensor(b.data.copy(), requires_grad=True)
+        seed = rng.standard_normal((2, 4, 5, 6))
+        y3 = ops.conv3d(x, w, b, padding=(0, 1, 1))
+        backward(ops.sum_all(ops.mul(y3, Tensor(seed.reshape(y3.shape)))))
+        y2 = ops.conv2d(x2, w2, b2, padding=1)
+        backward(ops.sum_all(ops.mul(y2, Tensor(seed))))
+        assert y3.shape == (2, 4, 1, 5, 6)
+        assert np.array_equal(y3.data.reshape(y2.shape), y2.data)
+        assert np.array_equal(x.grad.reshape(x2.shape), x2.grad)
+        assert np.array_equal(w.grad.reshape(w2.shape), w2.grad)
+        assert np.array_equal(b.grad, b2.grad)
+
+    @pytest.mark.parametrize("shape_x,shape_w,padding,match", [
+        ((1, 2, 3, 4, 4), (3, 2, 2, 3, 3), (0, 1, 1), "kt == T"),
+        ((1, 2, 2, 4, 4), (3, 2, 2, 3, 3), (1, 1, 1), "time padding"),
+        ((1, 2, 2, 4, 4), (3, 2, 2, 3, 3), (0, 1, 0), "spatial padding"),
+    ])
+    def test_unsupported_shapes_rejected(self, shape_x, shape_w, padding,
+                                         match):
+        x = Tensor(np.zeros(shape_x))
+        w = Tensor(np.zeros(shape_w))
+        with pytest.raises(ShapeError, match=match):
+            ops.conv3d(x, w, None, padding=padding)
 
 
 class TestBatchNorm:
@@ -215,6 +262,19 @@ class TestElementwise:
         y = ops.sigmoid(Tensor(np.array([-1000.0, -40.0, 40.0, 1000.0])))
         assert np.isfinite(y.data).all()
         assert y.data[0] == 0.0 and y.data[-1] == 1.0
+
+    def test_sigmoid_matches_both_sided_formula(self):
+        d = np.random.default_rng(3).standard_normal(4096).astype(np.float32)
+        d *= 8.0
+        want = np.empty_like(d)
+        pos = d >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+        want[~pos] = np.exp(d[~pos]) / (1.0 + np.exp(d[~pos]))
+        assert np.array_equal(ops.sigmoid(Tensor(d)).data, want)
+
+    def test_sigmoid_non_finite_inputs(self):
+        y = ops.sigmoid(Tensor(np.array([-np.inf, np.inf, np.nan]))).data
+        assert y[0] == 0.0 and y[1] == 1.0 and np.isnan(y[2])
 
     def test_relu(self):
         y = ops.relu(Tensor(np.array([-2.0, 0.0, 3.0])))
