@@ -6,7 +6,10 @@ Run with ``pytest tests/test_acceptance.py -v -s``.  The suite trains
 several desk-scale models; expect a few minutes of CPU time.
 """
 
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
@@ -31,6 +34,24 @@ def report(n, name, ok, details=""):
     suffix = f" ({details})" if details else ""
     print(f"\nACCEPTANCE {n} {name}: {status}{suffix}", flush=True)
     assert ok, f"criterion {n} {name} failed: {details}"
+
+
+def map_trainings(fn, jobs):
+    """``[fn(job) for job in jobs]``, spread over up to two processes.
+
+    C6 and C7 train several independent models.  Each training is
+    deterministic given its config and BLAS runs one thread per process
+    (the root conftest's caps reach the workers through the
+    environment), so the results are the same wherever a job runs.  Two
+    workers bound the memory the suite takes.
+    """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(len(jobs), cpus, 2)
+    if workers < 2:
+        return [fn(job) for job in jobs]
+    with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+        return list(pool.map(fn, jobs))
 
 
 # -------------------------------------------------------------------------
@@ -190,19 +211,21 @@ def test_c5_desk_scale_learning(tmp_path):
 # 6. Uncertainty behavior
 # -------------------------------------------------------------------------
 
+def c6_uncertainty_means(seed):
+    data_spec = SyntheticSceneSpec(size=64, seed=600 + seed)
+    pool = generate(data_spec, 48)
+    train_set, held_out = pool[:32], pool[32:]
+    cfg = TrainConfig(max_iteration=500, batch_size=4, seed=seed,
+                      checkpoint_every=0)
+    result = train(train_set, cfg, f"/tmp/arcd_accept_c6_{seed}",
+                   progress=False)
+    return uncertainty_means(result.model, held_out)
+
+
 def test_c6_uncertainty_separation():
-    err_means, ok_means = [], []
-    for seed in (0, 1, 2):
-        data_spec = SyntheticSceneSpec(size=64, seed=600 + seed)
-        pool = generate(data_spec, 48)
-        train_set, held_out = pool[:32], pool[32:]
-        cfg = TrainConfig(max_iteration=500, batch_size=4, seed=seed,
-                          checkpoint_every=0)
-        result = train(train_set, cfg, f"/tmp/arcd_accept_c6_{seed}",
-                       progress=False)
-        mean_err, mean_ok = uncertainty_means(result.model, held_out)
-        err_means.append(mean_err)
-        ok_means.append(mean_ok)
+    means = map_trainings(c6_uncertainty_means, (0, 1, 2))
+    err_means = [mean_err for mean_err, _ in means]
+    ok_means = [mean_ok for _, mean_ok in means]
     avg_err = float(np.mean(err_means))
     avg_ok = float(np.mean(ok_means))
     ok = avg_err > avg_ok
@@ -215,17 +238,19 @@ def test_c6_uncertainty_separation():
 # 7. Ablation ordering
 # -------------------------------------------------------------------------
 
-def test_c7_ablation_ordering():
+def c7_variant_f1(name):
     samples = generate(SyntheticSceneSpec(size=64, seed=700), 8)
-    f1 = {}
-    for name in VARIANTS:
-        cfg = TrainConfig(max_iteration=300, batch_size=4, seed=7,
-                          checkpoint_every=0,
-                          ablation=variant_config(name))
-        result = train(samples, cfg, f"/tmp/arcd_accept_c7_{name}",
-                       progress=False)
-        scores, _ = evaluate_model(result.model, samples)
-        f1[name] = scores.f1
+    cfg = TrainConfig(max_iteration=300, batch_size=4, seed=7,
+                      checkpoint_every=0,
+                      ablation=variant_config(name))
+    result = train(samples, cfg, f"/tmp/arcd_accept_c7_{name}",
+                   progress=False)
+    scores, _ = evaluate_model(result.model, samples)
+    return scores.f1
+
+
+def test_c7_ablation_ordering():
+    f1 = dict(zip(VARIANTS, map_trainings(c7_variant_f1, list(VARIANTS))))
     ok = (f1["wo-krm"] <= f1["full"]
           and f1["krm-wo-coa-rea"] <= f1["full"]
           and len(f1) == 9)
