@@ -27,8 +27,8 @@ from .tensor import (Tensor, ShapeError, accumulate, as_tensor, kinks_active,
 __all__ = [
     "add", "sub", "mul", "div", "one_minus", "relu", "sigmoid", "log",
     "clamp", "concat", "stack_time", "reshape", "conv2d", "conv3d",
-    "batch_norm", "upsample_bilinear", "upsample_nearest",
-    "global_avg_pool", "matvec", "scale_channels", "scale_map",
+    "batch_norm", "upsample_bilinear", "global_avg_pool", "matvec",
+    "scale_channels", "scale_map",
     "sum_all", "mean_all",
 ]
 
@@ -458,23 +458,16 @@ def _bilinear_matrix(factor: int, size: int) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=None)
-def _nearest_matrix(factor: int, size: int) -> np.ndarray:
-    mat = np.zeros((size * factor, size), dtype=np.float64)
-    for o in range(size * factor):
-        mat[o, o // factor] = 1.0
-    return mat
-
-
-def _upsample(x: Tensor, factor: int, build, name: str) -> Tensor:
+def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
+    """Bilinear upsampling by an integer factor (half-pixel convention)."""
     if x.ndim != 4:
-        raise ShapeError(f"{name}: input must be [N,C,H,W], got {x.shape}")
+        raise ShapeError(f"upsample_bilinear: input must be [N,C,H,W], "
+                         f"got {x.shape}")
     if factor < 1:
-        raise ShapeError(f"{name}: factor must be a positive integer")
-    if factor == 1:
-        return reshape(x, x.shape)
-    uh = build(factor, x.shape[2]).astype(x.dtype)
-    uw = build(factor, x.shape[3]).astype(x.dtype)
+        raise ShapeError("upsample_bilinear: factor must be a positive "
+                         "integer")
+    uh = _bilinear_matrix(factor, x.shape[2]).astype(x.dtype)
+    uw = _bilinear_matrix(factor, x.shape[3]).astype(x.dtype)
     # Separable linear operator: rows then columns, both as contractions.
     y = np.tensordot(x.data, uh, axes=(2, 1)).transpose(0, 1, 3, 2)
     y = np.tensordot(y, uw, axes=(3, 1))
@@ -485,17 +478,7 @@ def _upsample(x: Tensor, factor: int, build, name: str) -> Tensor:
         gx = np.tensordot(gy, uh, axes=(2, 0)).transpose(0, 1, 3, 2)
         accumulate(x, np.ascontiguousarray(gx))
 
-    return record(name, (x,), out, adjoint)
-
-
-def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
-    """Bilinear upsampling by an integer factor (half-pixel convention)."""
-    return _upsample(x, factor, _bilinear_matrix, "upsample_bilinear")
-
-
-def upsample_nearest(x: Tensor, factor: int) -> Tensor:
-    """Nearest-neighbour upsampling by an integer factor."""
-    return _upsample(x, factor, _nearest_matrix, "upsample_nearest")
+    return record("upsample_bilinear", (x,), out, adjoint)
 
 
 # ---------------------------------------------------------------------------

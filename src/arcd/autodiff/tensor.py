@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -263,9 +263,3 @@ def same_shape(name: str, a: Tensor, b: Tensor) -> None:
     if a.shape != b.shape:
         raise ShapeError(f"{name}: operand shapes {a.shape} and {b.shape} "
                          f"differ; only identical-shape operands are supported")
-
-
-def iter_tensors(xs: Iterable) -> Iterable[Tensor]:
-    for x in xs:
-        if isinstance(x, Tensor):
-            yield x

@@ -5,7 +5,8 @@ little-endian name length, UTF-8 parameter name, ARCT tensor record) in
 the model's stable parameter order, followed by one trailing ARCT record
 per batch-norm layer holding its running statistics stacked as [2, C]
 (mean row, then variance row).  Loading validates names and shapes
-against the target model and reports the first mismatch.
+against the target model and reports the first mismatch; a file that
+fails any check leaves the model untouched.
 """
 
 from __future__ import annotations
@@ -44,16 +45,29 @@ def save(model: Module, path) -> None:
 
 
 def load(model: Module, path) -> None:
-    """Restore parameters and running statistics in place."""
+    """Restore parameters and running statistics in place.
+
+    The whole file is read and checked against the model first; weights
+    are assigned only once it has passed, so a failed load leaves the
+    model unchanged.
+    """
     path = Path(path)
+    params = list(model.named_parameters())
+    bns = _bn_layers(model)
+    arrays, stats = [], []
     with open(path, "rb") as f:
-        for expected, p in model.named_parameters():
+        for expected, p in params:
             raw = f.read(2)
             if len(raw) < 2:
                 raise CheckpointError(
                     f"{path}: checkpoint ends before parameter '{expected}'")
             (name_len,) = struct.unpack("<H", raw)
-            name = f.read(name_len).decode("utf-8")
+            try:
+                name = f.read(name_len).decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CheckpointError(
+                    f"{path}: name of parameter '{expected}' is not valid "
+                    f"UTF-8") from e
             if name != expected:
                 raise CheckpointError(
                     f"{path}: first mismatched parameter '{expected}' "
@@ -67,20 +81,24 @@ def load(model: Module, path) -> None:
                 raise CheckpointError(
                     f"{path}: first mismatched parameter '{name}': shape "
                     f"{arr.shape} in file, {p.shape} in model")
-            p.data = arr.astype(p.data.dtype)
-        for name, bn in _bn_layers(model):
+            arrays.append(arr)
+        for name, bn in bns:
             try:
-                stats = arct.read_record(f)
+                record = arct.read_record(f)
             except arct.ArctFormatError as e:
                 raise CheckpointError(
                     f"{path}: bad running statistics for '{name}': {e}") from e
             want = (2, bn.running_mean.shape[0])
-            if stats.shape != want:
+            if record.shape != want:
                 raise CheckpointError(
                     f"{path}: running statistics for '{name}' have shape "
-                    f"{stats.shape}, expected {want}")
-            bn.running_mean = stats[0].astype(bn.running_mean.dtype)
-            bn.running_var = stats[1].astype(bn.running_var.dtype)
+                    f"{record.shape}, expected {want}")
+            stats.append(record)
         if f.read(1):
             raise CheckpointError(f"{path}: trailing bytes after the last "
                                   f"running-statistics record")
+    for (_, p), arr in zip(params, arrays):
+        p.data = arr.astype(p.data.dtype)
+    for (_, bn), record in zip(bns, stats):
+        bn.running_mean = record[0].astype(bn.running_mean.dtype)
+        bn.running_var = record[1].astype(bn.running_var.dtype)

@@ -8,24 +8,17 @@ nonzero with one machine-parsable line ``error: <message>`` on stderr.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import checkpoint, data, metrics
-from .autodiff import Tensor, arct, no_grad
+from .autodiff import arct
 from .errors import ArcdError, DataError
 from .network import VARIANTS, ChangeDetector, variant_config
-from .trainer import TrainConfig, parse_config, predict_sample, train
-
-
-def _worker_count() -> int:
-    try:
-        return max(int(os.environ.get("ARCD_THREADS", "1")), 1)
-    except ValueError:
-        return 1
+from .trainer import (TrainConfig, evaluate_model, parse_config, predict,
+                      train)
 
 
 def cmd_synth(args) -> int:
@@ -58,6 +51,9 @@ def _load_model(ckpt_path, variant: str) -> ChangeDetector:
 
 def cmd_infer(args) -> int:
     model = _load_model(args.checkpoint, args.variant)
+    if not model.cfg.use_oue:
+        raise ArcdError(f"variant '{args.variant}' has no uncertainty branch; "
+                        f"cannot write {args.out_uncertainty}")
     img1 = data.read_image(args.t1)
     img2 = data.read_image(args.t2)
     if img1.shape != img2.shape:
@@ -65,26 +61,13 @@ def cmd_infer(args) -> int:
     if img1.shape[1] % 32 or img1.shape[2] % 32:
         raise DataError(f"image dims {img1.shape[1]}x{img1.shape[2]} must be "
                         f"divisible by 32")
-    model.eval()
-    with no_grad():
-        bundle = model(Tensor(img1[None].astype(np.float32)),
-                       Tensor(img2[None].astype(np.float32)))
-    probs = bundle.change.data[0, 0]
+    probs, unc = predict(model, img1, img2)
     data.write_mask(args.out_change, (probs >= 0.5).astype(np.uint8))
-    if bundle.uncertainty is None:
-        raise ArcdError(f"variant '{args.variant}' has no uncertainty branch; "
-                        f"cannot write {args.out_uncertainty}")
-    data.write_gray(args.out_uncertainty, bundle.uncertainty.data[0, 0])
+    data.write_gray(args.out_uncertainty, unc)
     if args.out_prob:
-        arct.save(args.out_prob, bundle.change.data[0])
+        arct.save(args.out_prob, probs[None])
     print(f"wrote {args.out_change} and {args.out_uncertainty}")
     return 0
-
-
-def _score_pair(pred_dir: Path, gt_dir: Path, sid: str) -> metrics.ConfusionMatrix:
-    pred = data.read_mask(pred_dir / f"{sid}.pgm")
-    gt = data.read_mask(gt_dir / f"{sid}.pgm")
-    return metrics.confusion(pred, gt)
 
 
 def cmd_eval(args) -> int:
@@ -96,17 +79,11 @@ def cmd_eval(args) -> int:
     missing = [sid for sid in ids if not (pred_dir / f"{sid}.pgm").exists()]
     if missing:
         raise DataError(f"missing predictions for: {', '.join(missing)}")
-    workers = _worker_count()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda sid: _score_pair(pred_dir, gt_dir, sid), ids))
-    else:
-        parts = [_score_pair(pred_dir, gt_dir, sid) for sid in ids]
-    total = parts[0]
-    for cm in parts[1:]:
-        total = total + cm
+    total = metrics.ConfusionMatrix(0, 0, 0, 0)
+    for sid in ids:
+        total = total + metrics.confusion(
+            data.read_mask(pred_dir / f"{sid}.pgm"),
+            data.read_mask(gt_dir / f"{sid}.pgm"))
     scores = metrics.score(total)
     print(metrics.format_table(scores))
     print(metrics.format_kv(scores))
@@ -129,12 +106,7 @@ def cmd_ablate(args) -> int:
     samples = data.read_dataset(args.data)
     out_dir = Path(args.out)
     result = train(samples, cfg, out_dir, progress=not args.quiet)
-
-    total = metrics.ConfusionMatrix(0, 0, 0, 0)
-    for s in samples:
-        pred, _, _ = predict_sample(result.model, s)
-        total = total + metrics.confusion(pred, s.gt_change)
-    scores = metrics.score(total)
+    scores, _ = evaluate_model(result.model, samples)
     report = (f"variant={args.variant}\n"
               + metrics.format_kv(scores) + "\n")
     (out_dir / "report.txt").write_text(report)

@@ -1,6 +1,6 @@
-"""Synthetic data generation, raster I/O, tiling and augmentation."""
+"""Synthetic data generation, raster I/O and augmentation."""
 
-from .augment import IDENTITY, AugmentationPolicy, augment, tile
+from .augment import AugmentationPolicy, augment
 from .dataset import list_ids, read_dataset, sample_id, write_dataset
 from .pnm import (read_gray, read_image, read_mask, write_gray, write_image,
                   write_mask)
@@ -9,7 +9,7 @@ from .synth import (BiTemporalSample, SyntheticSceneSpec, generate,
 
 __all__ = [
     "BiTemporalSample", "SyntheticSceneSpec", "generate", "generate_sample",
-    "AugmentationPolicy", "IDENTITY", "augment", "tile",
+    "AugmentationPolicy", "augment",
     "read_mask", "write_mask", "read_gray", "write_gray",
     "read_image", "write_image",
     "write_dataset", "read_dataset", "list_ids", "sample_id",

@@ -1,4 +1,4 @@
-"""Training-time augmentation and patch tiling.
+"""Training-time augmentation.
 
 Spatial transforms (flips, crop) always hit both epochs and the mask
 identically so pixel correspondence survives; temporal exchange swaps
@@ -32,9 +32,6 @@ class AugmentationPolicy:
             raise DataError(f"crop {self.crop} must be divisible by 32")
 
 
-IDENTITY = AugmentationPolicy(0.0, 0.0, None, 0.0)
-
-
 def augment(sample: BiTemporalSample, policy: AugmentationPolicy,
             rng: np.random.Generator) -> BiTemporalSample:
     """One random draw of the policy applied to a sample."""
@@ -61,24 +58,3 @@ def augment(sample: BiTemporalSample, policy: AugmentationPolicy,
                             np.ascontiguousarray(t2),
                             np.ascontiguousarray(mask))
 
-
-def tile(image_t1: np.ndarray, image_t2: np.ndarray, mask: np.ndarray,
-         patch: int = 512) -> list[BiTemporalSample]:
-    """Non-overlapping row-major patches; a trailing remainder is dropped."""
-    if image_t1.shape != image_t2.shape or mask.shape != image_t1.shape[1:]:
-        raise DataError(f"tile: inconsistent shapes {image_t1.shape}, "
-                        f"{image_t2.shape}, {mask.shape}")
-    h, w = mask.shape
-    if patch > h or patch > w:
-        raise DataError(f"tile: patch {patch} exceeds image {h}x{w}")
-    patches = []
-    for top in range(0, h - patch + 1, patch):
-        for left in range(0, w - patch + 1, patch):
-            patches.append(BiTemporalSample(
-                np.ascontiguousarray(image_t1[:, top:top + patch,
-                                              left:left + patch]),
-                np.ascontiguousarray(image_t2[:, top:top + patch,
-                                              left:left + patch]),
-                np.ascontiguousarray(mask[top:top + patch,
-                                          left:left + patch])))
-    return patches

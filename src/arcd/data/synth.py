@@ -77,29 +77,30 @@ class SyntheticSceneSpec:
 
 @dataclass
 class _SceneObject:
-    footprint: np.ndarray  # boolean mask
-    color: np.ndarray      # [3]
+    box: tuple[slice, slice]  # rows and columns of the bounding box
+    footprint: np.ndarray     # boolean mask over the box
+    color: np.ndarray         # [3]
     in_t1: bool = True
     in_t2: bool = True
 
 
 def _draw_footprint(rng: np.random.Generator, size: int,
-                    kind: str) -> tuple[np.ndarray, tuple[int, int, int, int]]:
+                    kind: str) -> tuple[np.ndarray, int, int]:
+    """A [h, w] footprint and the top-left corner of its box."""
     lo = max(size // 5, 6)
     hi = max(size // 2, lo + 2)
     h = int(rng.integers(lo, hi))
     w = int(rng.integers(lo, hi))
     top = int(rng.integers(0, size - h))
     left = int(rng.integers(0, size - w))
-    mask = np.zeros((size, size), dtype=bool)
     if kind == "rectangle":
-        mask[top:top + h, left:left + w] = True
+        mask = np.ones((h, w), dtype=bool)
     else:
-        cy, cx = top + h / 2.0, left + w / 2.0
+        # The ellipse inscribed in the box never leaves it.
         ry, rx = h / 2.0, w / 2.0
-        yy, xx = np.mgrid[0:size, 0:size]
-        mask = ((yy + 0.5 - cy) / ry) ** 2 + ((xx + 0.5 - cx) / rx) ** 2 <= 1.0
-    return mask, (top, left, h, w)
+        yy, xx = np.mgrid[0:h, 0:w]
+        mask = ((yy + 0.5 - ry) / ry) ** 2 + ((xx + 0.5 - rx) / rx) ** 2 <= 1.0
+    return mask, top, left
 
 
 def _place_objects(rng: np.random.Generator,
@@ -113,13 +114,16 @@ def _place_objects(rng: np.random.Generator,
         # appearance-change; give up on an object after a few tries.
         for _ in range(30):
             kind = spec.kinds[int(rng.integers(len(spec.kinds)))]
-            mask, (top, left, h, w) = _draw_footprint(rng, spec.size, kind)
-            box = np.zeros_like(taken)
-            box[max(top - 1, 0):top + h + 1, max(left - 1, 0):left + w + 1] = True
-            if not (taken & box).any():
-                taken |= box
+            mask, top, left = _draw_footprint(rng, spec.size, kind)
+            h, w = mask.shape
+            # The box plus a one-pixel margin must be free.
+            margin = (slice(max(top - 1, 0), top + h + 1),
+                      slice(max(left - 1, 0), left + w + 1))
+            if not taken[margin].any():
+                taken[margin] = True
                 color = rng.uniform(0.05, 0.6, size=3)
-                objects.append(_SceneObject(mask, color))
+                box = (slice(top, top + h), slice(left, left + w))
+                objects.append(_SceneObject(box, mask, color))
                 break
     return objects
 
@@ -130,7 +134,8 @@ def _render(objects: list[_SceneObject], epoch: int, size: int,
     for obj in objects:
         present = obj.in_t1 if epoch == 1 else obj.in_t2
         if present:
-            img[:, obj.footprint] = obj.color[:, None]
+            rows, cols = obj.box
+            img[:, rows, cols][:, obj.footprint] = obj.color[:, None]
     if noise > 0.0:
         img += rng.uniform(-noise, noise, size=img.shape)
         np.clip(img, 0.0, 1.0, out=img)
@@ -151,9 +156,9 @@ def generate_sample(spec: SyntheticSceneSpec, index: int) -> BiTemporalSample:
     occ2 = np.zeros_like(occ1)
     for obj in objects:
         if obj.in_t1:
-            occ1 |= obj.footprint
+            occ1[obj.box] |= obj.footprint
         if obj.in_t2:
-            occ2 |= obj.footprint
+            occ2[obj.box] |= obj.footprint
     img1 = _render(objects, 1, spec.size, spec.noise, rng)
     img2 = _render(objects, 2, spec.size, spec.noise, rng)
     gt = (occ1 ^ occ2).astype(np.uint8)

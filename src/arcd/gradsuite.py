@@ -105,9 +105,8 @@ def _full_network_case(seed):
 
     def loss_fn(t1, t2):
         bundle = model(t1, t2)
-        aux = bundle.level_probs + bundle.refined_probs
-        objective = total_loss(aux, bundle.change, bundle.uncertainty, g,
-                               model.cfg).total
+        objective = total_loss(bundle.side_probs(), bundle.change,
+                               bundle.uncertainty, g, model.cfg).total
         outputs = projected_sum(bundle.change, 31)
         outputs = ops.add(outputs, projected_sum(bundle.uncertainty, 32))
         outputs = ops.add(outputs, projected_sum(bundle.features, 33))
@@ -167,9 +166,6 @@ def build_suite() -> list[SuiteCase]:
             [(4, 5)], s)),
         SuiteCase("upsample_bilinear", 1e-4, lambda s: gradcheck(
             lambda x: projected_sum(ops.upsample_bilinear(x, 2), s),
-            [(2, 3, 4, 4)], s)),
-        SuiteCase("upsample_nearest", 1e-4, lambda s: gradcheck(
-            lambda x: projected_sum(ops.upsample_nearest(x, 2), s),
             [(2, 3, 4, 4)], s)),
         SuiteCase("global_avg_pool", 1e-4, lambda s: gradcheck(
             lambda x: projected_sum(ops.global_avg_pool(x), s),

@@ -67,9 +67,6 @@ class MetricScores:
     oa: float
     degenerate: frozenset = field(default_factory=frozenset)
 
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in METRIC_ORDER}
-
 
 def score(cm: ConfusionMatrix) -> MetricScores:
     """Kappa, IoU, F1, recall, precision and overall accuracy."""

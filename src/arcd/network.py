@@ -10,6 +10,10 @@ predictions.  An uncertainty branch scores per-pixel confidence from
 image texture and the finest difference features, and its features can be
 fused into the final change head.
 
+A forward pass returns the full-resolution change and uncertainty maps,
+which are all that inference reads, plus the side logits at their own
+stride; only the training loss brings those to full resolution.
+
 Every difference path is symmetric under swapping the two input epochs,
 so the predicted change map is invariant to temporal order.
 """
@@ -324,23 +328,33 @@ class ReviewBlock(Module):
 
 @dataclass
 class PredictionBundle:
-    """All supervised outputs of one forward pass, at full resolution.
+    """Outputs of one forward pass.
 
-    ``level_probs`` holds the four per-level side predictions,
-    ``refined_probs`` the review-block predictions (empty when the review
-    cascade is disabled), ``change`` the final change probability map and
-    ``uncertainty`` the confidence map (None without the uncertainty
-    branch).  ``features`` keeps the stride-4 uncertainty-aware features.
+    ``change`` (the final change probability map) and ``uncertainty``
+    (the confidence map, None without the uncertainty branch) are at full
+    resolution; they are all that inference reads.  The deep-supervision
+    side outputs stay logits at their own resolution: ``level_logits``
+    holds the four per-level side logits at ``STRIDES``,
+    ``refined_logits`` the review-block logits at stride 4 (empty when
+    the review cascade is disabled).  ``side_probs`` brings them to full
+    resolution for the loss.  ``features`` keeps the stride-4
+    uncertainty-aware features.
     """
 
-    level_probs: list[Tensor]
-    refined_probs: list[Tensor]
+    level_logits: list[Tensor]
+    refined_logits: list[Tensor]
     change: Tensor
     uncertainty: Optional[Tensor]
     features: Optional[Tensor]
 
-    def supervised_probs(self) -> list[Tensor]:
-        return [*self.level_probs, *self.refined_probs, self.change]
+    def side_probs(self) -> list[Tensor]:
+        """Full-resolution side probabilities, levels then refined maps.
+
+        Logits are upsampled before the sigmoid, as for ``change``.
+        """
+        size = self.change.shape[2]
+        return [ops.sigmoid(ops.upsample_bilinear(lg, size // lg.shape[2]))
+                for lg in (*self.level_logits, *self.refined_logits)]
 
 
 class ChangeDetector(Module):
@@ -411,16 +425,5 @@ class ChangeDetector(Module):
         # neighbouring cells saturate.
         change = ops.sigmoid(
             ops.upsample_bilinear(self.final_head(final), 4))
-        level_probs = [ops.sigmoid(ops.upsample_bilinear(lg, s))
-                       for lg, s in zip(logits, STRIDES)]
-        refined_probs = [ops.sigmoid(ops.upsample_bilinear(lg, 4))
-                         for lg in refined_logits]
-        return PredictionBundle(level_probs, refined_probs, change, p_unc,
+        return PredictionBundle(logits, refined_logits, change, p_unc,
                                 u_feats)
-
-    def forward_sample(self, sample) -> PredictionBundle:
-        """Run one bi-temporal sample (adds and keeps a batch axis of 1)."""
-        dtype = self.final_head.weight.dtype
-        img1 = Tensor(sample.image_t1[None].astype(dtype))
-        img2 = Tensor(sample.image_t2[None].astype(dtype))
-        return self.forward(img1, img2)

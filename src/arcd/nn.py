@@ -76,9 +76,6 @@ class ModuleList(Module):
         super().__init__()
         self._items: list[Module] = list(modules)
 
-    def append(self, module: Module) -> None:
-        self._items.append(module)
-
     def __iter__(self):
         return iter(self._items)
 

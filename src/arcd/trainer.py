@@ -162,8 +162,8 @@ def step_loss(model: ChangeDetector, t1: Tensor, t2: Tensor,
               g: Tensor) -> LossBundle:
     """Forward plus the full deep-supervised objective."""
     bundle = model(t1, t2)
-    aux = bundle.level_probs + bundle.refined_probs
-    return total_loss(aux, bundle.change, bundle.uncertainty, g, model.cfg)
+    return total_loss(bundle.side_probs(), bundle.change, bundle.uncertainty,
+                      g, model.cfg)
 
 
 def train(samples: Sequence[BiTemporalSample], cfg: TrainConfig, out_dir, *,
@@ -242,15 +242,20 @@ def train(samples: Sequence[BiTemporalSample], cfg: TrainConfig, out_dir, *,
                        first_loss, final_loss)
 
 
-def predict_sample(model: ChangeDetector, sample: BiTemporalSample):
-    """Eval-mode inference: (binary change map, change probs, uncertainty)."""
+def predict(model: ChangeDetector, img1: np.ndarray, img2: np.ndarray
+            ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Eval-mode inference on one [3,H,W] image pair.
+
+    Returns the [H,W] change probabilities and uncertainty (None for a
+    variant without the uncertainty branch).
+    """
+    dtype = model.final_head.weight.dtype
     model.eval()
     with no_grad():
-        bundle = model.forward_sample(sample)
-    probs = bundle.change.data[0, 0]
-    unc = bundle.uncertainty.data[0, 0] if bundle.uncertainty is not None \
-        else None
-    return (probs >= 0.5).astype(np.uint8), probs, unc
+        bundle = model(Tensor(img1[None].astype(dtype)),
+                       Tensor(img2[None].astype(dtype)))
+    unc = bundle.uncertainty
+    return bundle.change.data[0, 0], None if unc is None else unc.data[0, 0]
 
 
 def evaluate_model(model: ChangeDetector,
@@ -259,24 +264,6 @@ def evaluate_model(model: ChangeDetector,
     """Micro-averaged scores over a dataset (threshold 0.5)."""
     total = ConfusionMatrix(0, 0, 0, 0)
     for s in samples:
-        pred, _, _ = predict_sample(model, s)
-        total = total + confusion(pred, s.gt_change)
+        probs, _ = predict(model, s.image_t1, s.image_t2)
+        total = total + confusion(probs >= 0.5, s.gt_change)
     return score(total), total
-
-
-def uncertainty_means(model: ChangeDetector,
-                      samples: Sequence[BiTemporalSample]
-                      ) -> tuple[float, float]:
-    """Pooled mean uncertainty over mispredicted and correct pixels."""
-    unc_all, err_all = [], []
-    for s in samples:
-        pred, _, unc = predict_sample(model, s)
-        if unc is None:
-            raise ValueError("model has no uncertainty branch")
-        unc_all.append(unc.reshape(-1))
-        err_all.append((pred != s.gt_change).reshape(-1))
-    unc_cat = np.concatenate(unc_all)
-    err_cat = np.concatenate(err_all)
-    if not err_cat.any() or err_cat.all():
-        raise ValueError("uncertainty_means: one pixel partition is empty")
-    return float(unc_cat[err_cat].mean()), float(unc_cat[~err_cat].mean())

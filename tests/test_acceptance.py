@@ -20,11 +20,11 @@ from arcd.data import (SyntheticSceneSpec, generate, read_image,
                        read_mask, write_image, write_mask)
 from arcd.gradsuite import build_suite
 from arcd.loss import uncertainty_target
-from arcd.metrics import ConfusionMatrix, confusion, score
+from arcd.metrics import (ConfusionMatrix, confusion, score,
+                          uncertainty_separation)
 from arcd.network import (VARIANTS, ChangeDetector, conflict_attention,
                           reverse_attention, variant_config)
-from arcd.trainer import (TrainConfig, evaluate_model, poly_lr, train,
-                          uncertainty_means)
+from arcd.trainer import TrainConfig, evaluate_model, poly_lr, predict, train
 
 pytestmark = pytest.mark.acceptance
 
@@ -219,7 +219,13 @@ def c6_uncertainty_means(seed):
                       checkpoint_every=0)
     result = train(train_set, cfg, f"/tmp/arcd_accept_c6_{seed}",
                    progress=False)
-    return uncertainty_means(result.model, held_out)
+    outputs = [predict(result.model, s.image_t1, s.image_t2)
+               for s in held_out]
+    sep = uncertainty_separation(
+        np.concatenate([unc.reshape(-1) for _, unc in outputs]),
+        np.concatenate([(probs >= 0.5).reshape(-1) for probs, _ in outputs]),
+        np.concatenate([s.gt_change.reshape(-1) for s in held_out]))
+    return sep.mean_on_errors, sep.mean_on_correct
 
 
 def test_c6_uncertainty_separation():

@@ -7,6 +7,16 @@ from arcd import checkpoint
 from arcd.autodiff import Tensor, no_grad
 from arcd.errors import CheckpointError
 from arcd.network import ChangeDetector, variant_config
+from arcd.nn import BatchNorm
+
+
+def _state(model):
+    """Copies of every parameter and running statistic."""
+    arrays = [p.data.copy() for _, p in model.named_parameters()]
+    for _, m in model.named_modules():
+        if isinstance(m, BatchNorm):
+            arrays += [m.running_mean.copy(), m.running_var.copy()]
+    return arrays
 
 
 def _trained_ish_model(seed=0):
@@ -87,6 +97,30 @@ class TestMismatch:
         checkpoint.save(model, path)
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(CheckpointError, match="trailing"):
+            checkpoint.load(ChangeDetector(seed=0), path)
+
+    @pytest.mark.parametrize("damage", ["truncate", "trailing byte"])
+    def test_failed_load_leaves_model_unchanged(self, tmp_path, damage):
+        path = tmp_path / "m.ckpt"
+        checkpoint.save(_trained_ish_model(0), path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2] if damage == "truncate"
+                         else data + b"x")
+        target = ChangeDetector(seed=1, dtype=np.float32)
+        before = _state(target)
+        with pytest.raises(CheckpointError):
+            checkpoint.load(target, path)
+        after = _state(target)
+        assert len(after) == len(before)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    def test_non_utf8_name_is_a_checkpoint_error(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        checkpoint.save(ChangeDetector(seed=0), path)
+        data = bytearray(path.read_bytes())
+        data[2] = 0xFF   # first byte of the first parameter name
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="UTF-8"):
             checkpoint.load(ChangeDetector(seed=0), path)
 
     def test_no_tmp_file_left_behind(self, tmp_path):

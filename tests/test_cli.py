@@ -125,6 +125,22 @@ class TestInfer:
         err = capsys.readouterr().err
         assert "mismatched parameter" in err
 
+    def test_variant_without_uncertainty_writes_nothing(self, tmp_path,
+                                                         dataset, capsys):
+        from arcd import checkpoint
+        from arcd.network import ChangeDetector, variant_config
+        ckpt = tmp_path / "wo-oue.ckpt"
+        checkpoint.save(ChangeDetector(variant_config("wo-oue")), ckpt)
+        assert run_cli("infer", "--checkpoint", ckpt, "--variant", "wo-oue",
+                       "--t1", dataset / "A" / "0000.ppm",
+                       "--t2", dataset / "B" / "0000.ppm",
+                       "--out-change", tmp_path / "c.pgm",
+                       "--out-uncertainty", tmp_path / "u.pgm") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "no uncertainty branch" in err[0]
+        assert not (tmp_path / "c.pgm").exists()
+
     def test_indivisible_image_rejected(self, tmp_path, trained, capsys):
         from arcd.data import write_image
         rng = np.random.default_rng(0)
@@ -180,19 +196,6 @@ class TestEval:
                    if "=" in line and " " not in line)
         assert abs(float(got["f1"]) - want_f1) < 1e-6
         assert abs(float(got["oa"]) - (tp + tn) / (tp + fp + fn + tn)) < 1e-6
-
-
-class TestEvalThreads:
-    def test_parallel_scoring_matches_serial(self, dataset, capsys,
-                                             monkeypatch):
-        assert run_cli("eval", "--pred-dir", dataset / "label",
-                       "--gt-dir", dataset / "label") == 0
-        serial = capsys.readouterr().out
-        monkeypatch.setenv("ARCD_THREADS", "2")
-        assert run_cli("eval", "--pred-dir", dataset / "label",
-                       "--gt-dir", dataset / "label") == 0
-        parallel = capsys.readouterr().out
-        assert parallel == serial
 
 
 class TestGradcheckCommand:

@@ -1,4 +1,4 @@
-"""Synthetic generation, raster round trips, tiling, augmentation."""
+"""Synthetic generation, raster round trips, augmentation."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from arcd.data import (AugmentationPolicy, BiTemporalSample,
                        SyntheticSceneSpec, augment, generate, generate_sample,
                        list_ids, read_dataset, read_gray, read_image,
-                       read_mask, tile, write_dataset, write_gray,
+                       read_mask, write_dataset, write_gray,
                        write_image, write_mask)
 from arcd.errors import DataError, PnmParseError
 
@@ -58,38 +58,6 @@ class TestGenerate:
         with pytest.raises(DataError, match="binary"):
             BiTemporalSample(good.image_t1, good.image_t2,
                              good.gt_change + 2)
-
-
-class TestTile:
-    def _scene(self, h, w, seed=0):
-        rng = np.random.default_rng(seed)
-        return (rng.uniform(0, 1, (3, h, w)), rng.uniform(0, 1, (3, h, w)),
-                (rng.uniform(size=(h, w)) < 0.5).astype(np.uint8))
-
-    def test_1024_gives_four_512_patches(self):
-        t1, t2, mask = self._scene(1024, 1024)
-        patches = tile(t1, t2, mask, patch=512)
-        assert len(patches) == 4
-        assert all(p.height == 512 and p.width == 512 for p in patches)
-        # Row-major order: patch 1 is the top-right quadrant.
-        assert np.array_equal(patches[1].gt_change, mask[:512, 512:])
-
-    def test_exact_fit_returns_input(self):
-        t1, t2, mask = self._scene(64, 64)
-        patches = tile(t1, t2, mask, patch=64)
-        assert len(patches) == 1
-        assert np.array_equal(patches[0].image_t1, t1)
-
-    def test_remainder_dropped(self):
-        t1, t2, mask = self._scene(520, 520)
-        patches = tile(t1, t2, mask, patch=512)
-        assert len(patches) == 1
-        assert np.array_equal(patches[0].gt_change, mask[:512, :512])
-
-    def test_patch_larger_than_image_rejected(self):
-        t1, t2, mask = self._scene(256, 256)
-        with pytest.raises(DataError, match="exceeds"):
-            tile(t1, t2, mask, patch=512)
 
 
 class TestAugment:

@@ -210,10 +210,36 @@ class TestFullNetwork:
             bundle = model(t1, t2)
         assert bundle.change.shape == (1, 1, 64, 64)
         assert bundle.uncertainty.shape == (1, 1, 64, 64)
-        for p in bundle.supervised_probs():
+        assert [lg.shape for lg in bundle.level_logits] == \
+            [(1, 1, 64 // s, 64 // s) for s in STRIDES]
+        assert [lg.shape for lg in bundle.refined_logits] == \
+            [(1, 1, 16, 16)] * 3
+        with no_grad():
+            side = bundle.side_probs()
+        assert len(side) == 7
+        for p in side:
             assert p.shape == (1, 1, 64, 64)
             assert (p.data > 0.0).all() and (p.data < 1.0).all()
         assert bundle.features.shape == (1, 16, 16, 16)
+
+    def test_eval_forward_builds_only_the_two_full_resolution_maps(
+            self, monkeypatch):
+        model = ChangeDetector(seed=1, dtype=np.float64)
+        model.eval()
+        t1, t2 = rand_images(np.random.default_rng(16))
+        shapes = []
+        upsample = ops.upsample_bilinear
+
+        def recording_upsample(x, factor):
+            out = upsample(x, factor)
+            shapes.append(out.shape[2:])
+            return out
+
+        monkeypatch.setattr(ops, "upsample_bilinear", recording_upsample)
+        with no_grad():
+            model(t1, t2)
+        # The change map and the uncertainty map; no side map.
+        assert shapes.count((64, 64)) == 2
 
     @pytest.mark.parametrize("train_mode", [False, True])
     def test_temporal_swap_bit_exact_float64(self, train_mode):
@@ -224,10 +250,12 @@ class TestFullNetwork:
         with no_grad():
             a = model(t1, t2)
             b = model(t2, t1)
-        assert np.array_equal(a.change.data, b.change.data)
-        assert np.array_equal(a.uncertainty.data, b.uncertainty.data)
-        for pa, pb in zip(a.supervised_probs(), b.supervised_probs()):
+            maps_a = [*a.side_probs(), a.change]
+            maps_b = [*b.side_probs(), b.change]
+        assert len(maps_a) == 8
+        for pa, pb in zip(maps_a, maps_b):
             assert np.array_equal(pa.data, pb.data)
+        assert np.array_equal(a.uncertainty.data, b.uncertainty.data)
 
     def test_temporal_swap_float32(self):
         model = ChangeDetector(seed=3, dtype=np.float32)
@@ -284,7 +312,8 @@ class TestFullNetwork:
             else:
                 assert bundle.uncertainty is None
             expected_refined = 3 if cfg.use_krm else 0
-            assert len(bundle.refined_probs) == expected_refined, name
+            assert len(bundle.level_logits) == 4, name
+            assert len(bundle.refined_logits) == expected_refined, name
 
     def test_unknown_variant_lists_names(self):
         with pytest.raises(ValueError, match="full"):

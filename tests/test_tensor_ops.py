@@ -366,11 +366,6 @@ class TestUpsample:
             assert y.shape == (1, 2, 3 * factor, 3 * factor)
             assert np.abs(y.data - 0.7).max() < 1e-12
 
-    def test_nearest_repeats_pixels(self):
-        x = Tensor(np.arange(4.0).reshape(1, 1, 2, 2))
-        y = ops.upsample_nearest(x, 2)
-        assert (y.data[0, 0] == np.repeat(np.repeat(x.data[0, 0], 2, 0), 2, 1)).all()
-
 
 class TestBackward:
     def test_sum_gives_ones(self):
