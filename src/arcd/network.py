@@ -8,7 +8,7 @@ blocks then walk the pyramid coarse levels into the stride-4 trunk,
 guided by conflict and reverse attention between neighbouring
 predictions.  An uncertainty branch scores per-pixel confidence from
 image texture and the finest difference features, and its features can be
-fused into the final change head.
+fused into the final change head as a residual on the trunk.
 
 A forward pass returns the full-resolution change and uncertainty maps,
 which are all that inference reads, plus the side logits at their own
@@ -270,9 +270,10 @@ class ReviewBlock(Module):
     resolution; three 1x1 transition convs split the concatenation into
     branches gated by conflict attention, reverse attention, and identity
     (each followed by channel attention and a 3x3 conv); the branch sum,
-    concatenated with the fine prediction, yields the refined features
-    and their prediction.  Disabled attention branches keep their convs
-    and simply skip the gating product.
+    concatenated with the fine prediction and fused, is added to the
+    trunk as a residual, giving the refined features and their
+    prediction.  Disabled attention branches keep their convs and simply
+    skip the gating product.
     """
 
     def __init__(self, low_ch: int, high_ch: int, out_ch: int, *,
@@ -321,8 +322,8 @@ class ReviewBlock(Module):
         b2 = self.conv2(self.attn2(k2))
         b3 = self.conv3(self.attn3(k3))
 
-        refined = self.fuse(ops.concat(
-            [p_low, ops.add(ops.add(b1, b2), b3)], axis=1))
+        refined = ops.add(self.fuse(ops.concat(
+            [p_low, ops.add(ops.add(b1, b2), b3)], axis=1)), d_low)
         return refined, self.head(refined)
 
 
@@ -418,8 +419,9 @@ class ChangeDetector(Module):
         p_unc = None
         if self.cfg.use_oue:
             u_feats, p_unc = self.uncertainty(img1, img2, diffs[0])
-        final = self.final_fuse(trunk, u_feats) if self.cfg.fuse_uncertainty \
-            else trunk
+        final = trunk
+        if self.cfg.fuse_uncertainty:
+            final = ops.add(trunk, self.final_fuse(trunk, u_feats))
         # Full-resolution maps interpolate logits, then squash: probability
         # interpolation cannot place boundaries below the cell size once
         # neighbouring cells saturate.
