@@ -5,13 +5,14 @@ python scalars against tensors, per-channel bias inside ``matvec``/conv,
 and the two explicit attention products (``scale_channels``,
 ``scale_map``).  Anything else raises a ShapeError.
 
-Both convolutions share one GEMM core: the forward multiplies the
-reshaped kernel by an im2col patch matrix (for a 1x1 kernel at stride 1,
-the input itself), and the adjoint rebuilds that matrix for the weight
-gradient instead of keeping it alive until backward.  ``conv3d``
-accepts only a kernel spanning the whole time axis (kt == T, no time
-padding, equal spatial padding), the one case the network uses, which
-is ``conv2d`` with time folded into channels.
+Both convolutions share one per-tap GEMM core with no patch matrix: the
+input is zero-padded once and split into stride phases, so each kernel
+tap reads one contiguous slice of a phase, and the output is the sum of
+one GEMM per tap.  The adjoint runs the same taps transposed and
+rebuilds the phase buffer instead of keeping it alive until backward.
+``conv3d`` accepts only a kernel spanning the whole time axis (kt == T,
+no time padding, equal spatial padding), the one case the network uses,
+which is ``conv2d`` with time folded into channels.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import (Tensor, ShapeError, accumulate, as_tensor, kinks_active,
                      note_kink, record, same_shape)
@@ -215,102 +215,102 @@ def reshape(x: Tensor, shape) -> Tensor:
 # Convolutions (cross-correlation convention, no kernel flip)
 # ---------------------------------------------------------------------------
 
-def _pad_hw(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """Zero-pad the last two axes by ph and pw per side; negative amounts crop."""
-    h, w = a.shape[-2:]
-    a = a[..., max(-ph, 0):h - max(-ph, 0), max(-pw, 0):w - max(-pw, 0)]
-    ph, pw = max(ph, 0), max(pw, 0)
-    if not (ph or pw):
-        return a
-    h, w = a.shape[-2:]
-    out = np.zeros(a.shape[:-2] + (h + 2 * ph, w + 2 * pw), dtype=a.dtype)
-    out[..., ph:ph + h, pw:pw + w] = a
+def _phase_map(s: int, p: int, h: int, w: int):
+    """Yield (phase, map index, grid index) for each of the s*s stride
+    phases of an [..., H, W] map zero-padded by p: padded pixel
+    (s*y + i, s*x + j) sits at (y, x) of phase i*s + j."""
+    for i in range(s):
+        r = (i - p) % s                # first map row in phase row i
+        rows = slice((r + p) // s, (r + p) // s + len(range(r, h, s)))
+        for j in range(s):
+            q = (j - p) % s
+            yield (i * s + j, (..., slice(r, h, s), slice(q, w, s)),
+                   (..., rows, slice((q + p) // s,
+                                     (q + p) // s + len(range(q, w, s)))))
+
+
+def _phases(a: np.ndarray, s: int, p: int, hq: int, wq: int,
+            slack: int = 0) -> np.ndarray:
+    """[N, C, H, W] -> [s*s, C, N*hq*wq + slack], the stride phases of
+    ``a`` zero-padded by p; ``a`` itself (a view when N == 1) if that is
+    one unpadded phase."""
+    n, c, h, w = a.shape
+    if s == 1 and p == 0 and slack == 0 and (h, w) == (hq, wq):
+        return a.swapaxes(0, 1).reshape(1, c, n * h * w)
+    buf = np.zeros((s * s, c, n * hq * wq + slack), dtype=a.dtype)
+    grid = buf[:, :, :n * hq * wq].reshape(s * s, c, n, hq, wq)
+    for ph, src, dst in _phase_map(s, p, h, w):
+        grid[ph][dst] = a[src].swapaxes(0, 1)
+    return buf
+
+
+def _unphase(buf: np.ndarray, s: int, p: int, n: int, h: int, w: int,
+             hq: int, wq: int) -> np.ndarray:
+    """The inverse of ``_phases``, padding cropped: a contiguous
+    [N, C, H, W], with no copy for one unpadded phase when N == 1."""
+    grid = buf[:, :, :n * hq * wq].reshape(s * s, -1, n, hq, wq)
+    if s == 1 and p == 0 and (h, w) == (hq, wq):
+        return np.ascontiguousarray(grid[0].swapaxes(0, 1))
+    out = np.empty((n, grid.shape[1], h, w), dtype=buf.dtype)
+    for ph, src, dst in _phase_map(s, p, h, w):
+        out[src] = grid[ph][dst].swapaxes(0, 1)
     return out
-
-
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int,
-            wo: int) -> np.ndarray:
-    """[N,C,Hp,Wp] -> [C*kh*kw, N*ho*wo] patch matrix: rows in weight
-    order, columns in output order.
-
-    The batch rides along the columns, so one GEMM covers it however
-    small the maps get.  A 1x1 kernel at stride 1 reads every pixel once:
-    its patch matrix is the input itself, a view when N == 1.
-    """
-    n, c = xp.shape[:2]
-    if kh == kw == stride == 1:
-        return xp.swapaxes(0, 1).reshape(c, n * ho * wo)
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride,
-                                                         ::stride]
-    # win: [N, C, H', W', kh, kw]; one copy puts it in weight order.
-    return np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(
-        c * kh * kw, n * ho * wo)
-
-
-def _batch_major(a: np.ndarray, n: int) -> np.ndarray:
-    """[C, N*P] -> contiguous [N, C, P]; no copy when N == 1."""
-    return np.ascontiguousarray(a.reshape(a.shape[0], n, -1).swapaxes(0, 1))
 
 
 def _conv(name: str, x: Tensor, weight: Tensor, bias, stride: int,
           padding: int) -> Tensor:
-    """The one convolution core, a GEMM over an im2col patch matrix.
+    """The one convolution core: one GEMM per kernel tap, no patch matrix.
 
     ``x`` is [N, C, ..., H, W] and ``weight`` [K, C, ..., kh, kw] whose
     middle axes span the input's, so they fold into channels: the output
-    is [N, K, 1, ..., H', W'].  Callers validate shapes.
-    """
+    is [N, K, 1, ..., H', W'].  Callers validate shapes.  Tap (i, j) reads
+    phase (i mod s, j mod s) at column offset (i div s)*wq + (j div s),
+    and the output is the H' x W' corner of each hq x wq grid block."""
     n, k = x.shape[0], weight.shape[0]
     h, w = x.shape[-2:]
     kh, kw = weight.shape[-2:]
     xd = x.data.reshape(n, -1, h, w)
     c = xd.shape[1]
-    wmat = weight.data.reshape(k, c * kh * kw)
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
+    s, p = stride, padding
+    ho, wo = (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
+    hq, wq = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
+    cols = n * hq * wq
+    taps = [((i % s) * s + j % s, (i // s) * wq + j // s)
+            for i in range(kh) for j in range(kw)]
+    slack = taps[-1][1]
+    wtaps = np.moveaxis(weight.data.reshape(k, c, kh * kw), 2, 0).copy()
 
-    out_d = wmat @ _im2col(_pad_hw(xd, padding, padding),
-                           kh, kw, stride, ho, wo)
+    xq = _phases(xd, s, p, hq, wq, slack)
+    grid = wtaps[0] @ xq[0, :, :cols]          # tap (0, 0)
+    tmp = np.empty_like(grid) if len(taps) > 1 else None
+    for wt, (ph, off) in zip(wtaps[1:], taps[1:]):
+        grid += np.matmul(wt, xq[ph, :, off:off + cols], out=tmp)
+    del xq, tmp
+    out_d = _unphase(grid[None], 1, 0, n, ho, wo, hq, wq)
     if bias is not None:
-        out_d += bias.data[:, None]
-    out = Tensor(_batch_major(out_d, n).reshape(
-        (n, k) + (1,) * (x.ndim - 4) + (ho, wo)))
+        out_d += bias.data[:, None, None]
+    out = Tensor(out_d.reshape((n, k) + (1,) * (x.ndim - 4) + (ho, wo)))
     inputs = (x, weight) if bias is None else (x, weight, bias)
 
     def adjoint(g):
-        g = g.reshape(n, k, ho, wo)
-        gmat = g.swapaxes(0, 1).reshape(k, n * ho * wo)
+        # The output gradient on the forward's grid, zero where it cropped.
+        gq = _phases(g.reshape(n, k, ho, wo), 1, 0, hq, wq)[0]
         if bias is not None and bias.requires_grad:
-            accumulate(bias, gmat.sum(axis=1))
+            accumulate(bias, gq.sum(axis=1))
         if weight.requires_grad:
             # Rebuilt rather than kept from the forward: holding every
-            # patch matrix until backward costs more memory than time.
-            cols = _im2col(_pad_hw(xd, padding, padding),
-                           kh, kw, stride, ho, wo)
-            accumulate(weight, (gmat @ cols.T).reshape(weight.shape))
-        if not x.requires_grad:
-            return
-        if stride == 1:
-            # The input gradient is the same GEMM-shaped correlation of
-            # the padded output gradient with the flipped, transposed
-            # kernel.
-            wflip = weight.data.reshape(k, c, kh, kw)[:, :, ::-1, ::-1]
-            wflip = wflip.transpose(1, 0, 2, 3).reshape(c, k * kh * kw)
-            gp = _pad_hw(g, kh - 1 - padding, kw - 1 - padding)
-            gx = _batch_major(wflip @ _im2col(gp, kh, kw, 1, h, w), n)
-        else:
-            # Strided: one contraction to patch gradients, then scatter
-            # each tap back onto the padded input.
-            gcols = (wmat.T @ gmat).reshape(c, kh, kw, n, ho, wo)
-            gxp = np.zeros((c, n, h + 2 * padding, w + 2 * padding),
-                           dtype=gcols.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, :, i:i + stride * ho:stride,
-                        j:j + stride * wo:stride] += gcols[:, i, j]
-            gx = np.ascontiguousarray(
-                _pad_hw(gxp, -padding, -padding).swapaxes(0, 1))
-        accumulate(x, gx.reshape(x.shape))
+            # phase buffer until backward costs more memory than time.
+            xq = _phases(xd, s, p, hq, wq, slack)
+            accumulate(weight, np.stack([gq @ xq[ph, :, off:off + cols].T
+                                         for ph, off in taps], axis=2)
+                       .reshape(weight.shape))
+            del xq
+        if x.requires_grad:
+            dxq = np.zeros((s * s, c, cols + slack), dtype=gq.dtype)
+            for wt, (ph, off) in zip(wtaps, taps):
+                dxq[ph, :, off:off + cols] += wt.T @ gq
+            accumulate(x, _unphase(dxq, s, p, n, h, w, hq, wq).reshape(
+                x.shape))
 
     return record(name, inputs, out, adjoint)
 

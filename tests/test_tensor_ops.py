@@ -1,5 +1,7 @@
 """Forward-path checks of the tensor primitives against independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,13 +81,15 @@ class TestConv2d:
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0), (2, 1), (3, 2)])
     def test_stride_padding_variants(self, stride, padding):
         rng = np.random.default_rng(stride * 10 + padding)
-        x = Tensor(rng.standard_normal((2, 3, 6, 6)))
-        w = Tensor(rng.standard_normal((4, 3, 3, 3)))
-        b = Tensor(rng.standard_normal(4))
-        got = ops.conv2d(x, w, b, stride=stride, padding=padding).data
-        want = naive_conv2d(x.data, w.data, b.data, stride, padding)
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() < 1e-12
+        # 7x9: padded sides that are not multiples of the stride.
+        for hw in ((6, 6), (7, 9)):
+            x = Tensor(rng.standard_normal((2, 3) + hw))
+            w = Tensor(rng.standard_normal((4, 3, 3, 3)))
+            b = Tensor(rng.standard_normal(4))
+            got = ops.conv2d(x, w, b, stride=stride, padding=padding).data
+            want = naive_conv2d(x.data, w.data, b.data, stride, padding)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() < 1e-12
 
     def test_output_size_formula(self):
         x = Tensor(np.zeros((1, 1, 7, 9)))
@@ -108,6 +112,7 @@ class TestConv2d:
     @pytest.mark.parametrize("shape_w,stride,padding", [
         ((5, 6, 1, 1), 1, 0),   # 1x1 at stride 1: the input is the patch matrix
         ((5, 6, 3, 3), 2, 1),   # the encoders' strided, padded blocks
+        ((5, 6, 3, 3), 1, 1),   # the 3x3 "same" convs everywhere else
     ])
     def test_float32_matches_loop_oracle(self, shape_w, stride, padding):
         rng = np.random.default_rng(sum(shape_w) + stride)
@@ -120,6 +125,23 @@ class TestConv2d:
                             b.astype(np.float64), stride, padding)
         assert got.dtype == np.float32 and got.shape == want.shape
         assert np.abs(got - want).max() / np.abs(want).max() < 1e-5
+
+
+    def test_same_conv_allocates_no_patch_matrix(self):
+        # A 3x3 stride-1 forward allocates less than twice its input plus
+        # output bytes: the padded input and the output grid, no 9x copy.
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((1, 48, 128, 128)).astype(np.float32))
+        w = Tensor(rng.standard_normal((16, 48, 3, 3)).astype(np.float32))
+        b = Tensor(np.zeros(16, dtype=np.float32))
+        tracemalloc.start()
+        try:
+            with no_grad():
+                y = ops.conv2d(x, w, b, padding=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (x.data.nbytes + y.data.nbytes)
 
 
 class TestConv3d:
