@@ -7,7 +7,10 @@ little-endian values.  Used by checkpoints and the inference CLI.
 
 from __future__ import annotations
 
+import io
+import math
 import struct
+import sys
 from pathlib import Path
 from typing import BinaryIO
 
@@ -49,10 +52,21 @@ def read_record(f: BinaryIO) -> np.ndarray:
     if len(raw) < 4 * rank:
         raise ArctFormatError("truncated dimension list")
     shape = struct.unpack(f"<{rank}I", raw) if rank else ()
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-    payload = f.read(4 * count)
-    if len(payload) < 4 * count:
-        raise ArctFormatError(f"truncated payload: expected {4 * count} bytes, "
+    nbytes = 4 * math.prod(shape)
+    if nbytes > sys.maxsize:
+        raise ArctFormatError(f"dimensions {shape} claim {nbytes} bytes, "
+                              f"more than one read can return")
+    if f.seekable():
+        # Checked before reading, which would allocate the claimed size.
+        pos = f.tell()
+        left = f.seek(0, io.SEEK_END) - pos
+        f.seek(pos)
+        if nbytes > left:
+            raise ArctFormatError(f"truncated payload: expected {nbytes} "
+                                  f"bytes, {left} left")
+    payload = f.read(nbytes)
+    if len(payload) < nbytes:
+        raise ArctFormatError(f"truncated payload: expected {nbytes} bytes, "
                               f"got {len(payload)}")
     return np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
 

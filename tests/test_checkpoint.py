@@ -1,5 +1,7 @@
 """Checkpoint persistence: exact round trips and mismatch diagnostics."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -99,13 +101,22 @@ class TestMismatch:
         with pytest.raises(CheckpointError, match="trailing"):
             checkpoint.load(ChangeDetector(seed=0), path)
 
-    @pytest.mark.parametrize("damage", ["truncate", "trailing byte"])
+    @pytest.mark.parametrize("damage", ["truncate", "trailing byte",
+                                        "oversized header"])
     def test_failed_load_leaves_model_unchanged(self, tmp_path, damage):
         path = tmp_path / "m.ckpt"
         checkpoint.save(_trained_ish_model(0), path)
         data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2] if damage == "truncate"
-                         else data + b"x")
+        if damage == "truncate":
+            data = data[: len(data) // 2]
+        elif damage == "trailing byte":
+            data += b"x"
+        else:
+            # The last record, [2, C] statistics, claims (2^31, 2^31).
+            at = data.rindex(b"ARCT\x01\x02") + 6
+            data = data[:at] + struct.pack("<2I", 2 ** 31, 2 ** 31) \
+                + data[at + 8:]
+        path.write_bytes(data)
         target = ChangeDetector(seed=1, dtype=np.float32)
         before = _state(target)
         with pytest.raises(CheckpointError):

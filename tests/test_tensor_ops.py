@@ -1,5 +1,6 @@
 """Forward-path checks of the tensor primitives against independent oracles."""
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -489,3 +490,14 @@ class TestArct:
         path.write_bytes(clipped)
         with pytest.raises(arct.ArctFormatError, match="truncated"):
             arct.load(path)
+
+    @pytest.mark.parametrize("dims", [(2 ** 31, 2 ** 31), (2 ** 20, 2 ** 20)])
+    def test_oversized_header_rejected(self, tmp_path, dims):
+        # 2^62 elements are more bytes than one read can return; 2^40 are
+        # not, but far more than the file holds.
+        from arcd.autodiff import arct
+        path = tmp_path / "big.arct"
+        path.write_bytes(b"ARCT\x01\x02" + struct.pack("<2I", *dims)
+                         + bytes(16))
+        with open(path, "rb") as f, pytest.raises(arct.ArctFormatError):
+            arct.read_record(f)
