@@ -8,6 +8,7 @@ nonzero with one machine-parsable line ``error: <message>`` on stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -49,6 +50,22 @@ def _load_model(ckpt_path, variant: str) -> ChangeDetector:
     return model
 
 
+def _write_all(outputs) -> None:
+    """Write every (path, writer, array) or none: each goes to a temporary
+    beside its target, renamed into place once all writes succeeded."""
+    temps = []
+    try:
+        for path, write, arr in outputs:
+            path = Path(path)
+            temps.append((path.with_name(path.name + ".tmp"), path))
+            write(temps[-1][0], arr)
+        for tmp, path in temps:
+            os.replace(tmp, path)
+    finally:
+        for tmp, _ in temps:
+            tmp.unlink(missing_ok=True)
+
+
 def cmd_infer(args) -> int:
     model = _load_model(args.checkpoint, args.variant)
     if not model.cfg.use_oue:
@@ -62,10 +79,12 @@ def cmd_infer(args) -> int:
         raise DataError(f"image dims {img1.shape[1]}x{img1.shape[2]} must be "
                         f"divisible by 32")
     probs, unc = predict(model, img1, img2)
-    data.write_mask(args.out_change, (probs >= 0.5).astype(np.uint8))
-    data.write_gray(args.out_uncertainty, unc)
+    outputs = [(args.out_change, data.write_mask,
+                (probs >= 0.5).astype(np.uint8)),
+               (args.out_uncertainty, data.write_gray, unc)]
     if args.out_prob:
-        arct.save(args.out_prob, probs[None])
+        outputs.append((args.out_prob, arct.save, probs[None]))
+    _write_all(outputs)
     print(f"wrote {args.out_change} and {args.out_uncertainty}")
     return 0
 

@@ -141,6 +141,20 @@ class TestInfer:
         assert "no uncertainty branch" in err[0]
         assert not (tmp_path / "c.pgm").exists()
 
+    def test_failed_output_leaves_no_output(self, tmp_path, dataset, trained,
+                                            capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run_cli("infer", "--checkpoint", trained / "model.ckpt",
+                       "--t1", dataset / "A" / "0000.ppm",
+                       "--t2", dataset / "B" / "0000.ppm",
+                       "--out-change", out / "c.pgm",
+                       "--out-uncertainty", out / "u.pgm",
+                       "--out-prob", tmp_path / "missing" / "p.arct") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert list(out.iterdir()) == []
+
     def test_indivisible_image_rejected(self, tmp_path, trained, capsys):
         from arcd.data import write_image
         rng = np.random.default_rng(0)
