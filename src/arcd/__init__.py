@@ -2,12 +2,22 @@
 
 Importing the package caps numeric worker threads (ARCD_THREADS,
 default 1) before numpy spins up BLAS pools, keeping runs reproducible.
+It warns when numpy came first, since the cap cannot hold then.
 """
 
 import os as _os
+import sys as _sys
 
 _threads = _os.environ.get("ARCD_THREADS", "1")
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    _os.environ.setdefault(_var, _threads)
+_unset = [_var for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                            "MKL_NUM_THREADS") if _var not in _os.environ]
+for _var in _unset:
+    _os.environ[_var] = _threads
+if _unset and "numpy" in _sys.modules:
+    import warnings as _warnings
+    _warnings.warn(f"numpy was imported before arcd, so its BLAS pool "
+                   f"cannot cap {', '.join(_unset)} at {_threads}; import "
+                   f"arcd first or set them in the environment",
+                   RuntimeWarning, stacklevel=2)
 
 __version__ = "0.1.0"

@@ -1,8 +1,13 @@
 """Operator-surface behavior through the argparse entry point."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import arcd
 from arcd import cli
 from arcd.data import read_mask
 
@@ -81,6 +86,21 @@ class TestTrain:
         assert run_cli("train", "--config", cfg, "--data", dataset,
                        "--out", tmp_path / "o", "--quiet") == 0
         assert "warning" in capsys.readouterr().err.lower()
+
+
+class TestThreadCap:
+    @pytest.mark.parametrize("imports,warns", [("numpy, arcd", True),
+                                               ("arcd, numpy", False)])
+    def test_warns_when_numpy_came_first(self, imports, warns):
+        env = {k: v for k, v in os.environ.items() if k not in
+               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(arcd.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c",
+             f"import {imports}"], env=env, capture_output=True, text=True,
+            timeout=60)
+        assert (proc.returncode != 0) == warns, proc.stderr
+        assert ("cannot cap" in proc.stderr) == warns
 
 
 class TestInfer:
