@@ -5,11 +5,9 @@ python scalars against tensors, per-channel bias inside ``matvec``/conv,
 and the two explicit attention products (``scale_channels``,
 ``scale_map``).  Anything else raises a ShapeError.
 
-Both convolutions share one per-tap GEMM core with no patch matrix: the
-input is zero-padded once and split into stride phases, so each kernel
-tap reads one contiguous slice of a phase, and the output is the sum of
-one GEMM per tap.  The adjoint runs the same taps transposed and
-rebuilds the phase buffer instead of keeping it alive until backward.
+Both convolutions share one core that sums one GEMM per kernel tap over
+the stride phases of the zero-padded input, with no patch matrix; its
+adjoint rebuilds the phases instead of keeping them alive until backward.
 ``conv3d`` accepts only a kernel spanning the whole time axis (kt == T,
 no time padding, equal spatial padding), the one case the network uses,
 which is ``conv2d`` with time folded into channels.
@@ -232,8 +230,7 @@ def _phase_map(s: int, p: int, h: int, w: int):
 def _phases(a: np.ndarray, s: int, p: int, hq: int, wq: int,
             slack: int = 0) -> np.ndarray:
     """[N, C, H, W] -> [s*s, C, N*hq*wq + slack], the stride phases of
-    ``a`` zero-padded by p; ``a`` itself (a view when N == 1) if that is
-    one unpadded phase."""
+    ``a`` zero-padded by p; ``a`` itself (a view when N == 1) if unpadded."""
     n, c, h, w = a.shape
     if s == 1 and p == 0 and slack == 0 and (h, w) == (hq, wq):
         return a.swapaxes(0, 1).reshape(1, c, n * h * w)
@@ -257,21 +254,21 @@ def _unphase(buf: np.ndarray, s: int, p: int, n: int, h: int, w: int,
     return out
 
 
-def _conv(name: str, x: Tensor, weight: Tensor, bias, stride: int,
-          padding: int) -> Tensor:
+def _conv(name: str, x: Tensor, weight: Tensor, bias, s: int,
+          p: int) -> Tensor:
     """The one convolution core: one GEMM per kernel tap, no patch matrix.
 
     ``x`` is [N, C, ..., H, W] and ``weight`` [K, C, ..., kh, kw] whose
     middle axes span the input's, so they fold into channels: the output
-    is [N, K, 1, ..., H', W'].  Callers validate shapes.  Tap (i, j) reads
-    phase (i mod s, j mod s) at column offset (i div s)*wq + (j div s),
-    and the output is the H' x W' corner of each hq x wq grid block."""
+    is [N, K, 1, ..., H', W'] at stride s and padding p.  Callers validate
+    shapes.  Tap (i, j) reads phase (i mod s, j mod s) at column offset
+    (i div s)*wq + (j div s); the output is the H' x W' corner of each
+    hq x wq block of the [K, N*hq*wq] output grid."""
     n, k = x.shape[0], weight.shape[0]
     h, w = x.shape[-2:]
     kh, kw = weight.shape[-2:]
     xd = x.data.reshape(n, -1, h, w)
     c = xd.shape[1]
-    s, p = stride, padding
     ho, wo = (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
     hq, wq = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
     cols = n * hq * wq
@@ -281,11 +278,15 @@ def _conv(name: str, x: Tensor, weight: Tensor, bias, stride: int,
     wtaps = np.moveaxis(weight.data.reshape(k, c, kh * kw), 2, 0).copy()
 
     xq = _phases(xd, s, p, hq, wq, slack)
-    grid = wtaps[0] @ xq[0, :, :cols]          # tap (0, 0)
-    tmp = np.empty_like(grid) if len(taps) > 1 else None
-    for wt, (ph, off) in zip(wtaps[1:], taps[1:]):
-        grid += np.matmul(wt, xq[ph, :, off:off + cols], out=tmp)
-    del xq, tmp
+    grid = np.zeros((k, cols), dtype=np.result_type(xq, wtaps))
+    # Column blocks of 64K grid elements keep each tap's product and the
+    # running sum in cache.
+    step = max((1 << 16) // k, 1)
+    for a in range(0, cols, step):
+        g = grid[:, a:a + step]
+        for wt, (ph, off) in zip(wtaps, taps):
+            g += wt @ xq[ph, :, a + off:a + off + g.shape[1]]
+    del xq
     out_d = _unphase(grid[None], 1, 0, n, ho, wo, hq, wq)
     if bias is not None:
         out_d += bias.data[:, None, None]
@@ -304,7 +305,6 @@ def _conv(name: str, x: Tensor, weight: Tensor, bias, stride: int,
             accumulate(weight, np.stack([gq @ xq[ph, :, off:off + cols].T
                                          for ph, off in taps], axis=2)
                        .reshape(weight.shape))
-            del xq
         if x.requires_grad:
             dxq = np.zeros((s * s, c, cols + slack), dtype=gq.dtype)
             for wt, (ph, off) in zip(wtaps, taps):
