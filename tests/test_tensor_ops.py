@@ -111,7 +111,7 @@ class TestConv2d:
             ops.conv2d(x, w, None)
 
     @pytest.mark.parametrize("shape_w,stride,padding", [
-        ((5, 6, 1, 1), 1, 0),   # 1x1 at stride 1: the input is the patch matrix
+        ((5, 6, 1, 1), 1, 0),   # 1x1 at stride 1: one GEMM on the input itself
         ((5, 6, 3, 3), 2, 1),   # the encoders' strided, padded blocks
         ((5, 6, 3, 3), 1, 1),   # the 3x3 "same" convs everywhere else
     ])
@@ -126,7 +126,6 @@ class TestConv2d:
                             b.astype(np.float64), stride, padding)
         assert got.dtype == np.float32 and got.shape == want.shape
         assert np.abs(got - want).max() / np.abs(want).max() < 1e-5
-
 
     def test_same_conv_allocates_no_patch_matrix(self):
         # A 3x3 stride-1 forward allocates less than twice its input plus
