@@ -7,10 +7,8 @@ little-endian values.  Used by checkpoints and the inference CLI.
 
 from __future__ import annotations
 
-import io
 import math
 import struct
-import sys
 from pathlib import Path
 from typing import BinaryIO
 
@@ -20,6 +18,7 @@ from ..errors import ArcdError
 
 MAGIC = b"ARCT"
 VERSION = 1
+_CHUNK = 1 << 20
 
 
 class ArctFormatError(ArcdError, ValueError):
@@ -53,22 +52,17 @@ def read_record(f: BinaryIO) -> np.ndarray:
         raise ArctFormatError("truncated dimension list")
     shape = struct.unpack(f"<{rank}I", raw) if rank else ()
     nbytes = 4 * math.prod(shape)
-    if nbytes > sys.maxsize:
-        raise ArctFormatError(f"dimensions {shape} claim {nbytes} bytes, "
-                              f"more than one read can return")
-    if f.seekable():
-        # Checked before reading, which would allocate the claimed size.
-        pos = f.tell()
-        left = f.seek(0, io.SEEK_END) - pos
-        f.seek(pos)
-        if nbytes > left:
+    # Bounded reads: a header that claims more than the stream holds costs
+    # memory for the bytes present, not for the claimed size, on files and
+    # pipes alike.
+    payload = bytearray()
+    while len(payload) < nbytes:
+        chunk = f.read(min(nbytes - len(payload), _CHUNK))
+        if not chunk:
             raise ArctFormatError(f"truncated payload: expected {nbytes} "
-                                  f"bytes, {left} left")
-    payload = f.read(nbytes)
-    if len(payload) < nbytes:
-        raise ArctFormatError(f"truncated payload: expected {nbytes} bytes, "
-                              f"got {len(payload)}")
-    return np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+                                  f"bytes, got {len(payload)}")
+        payload += chunk
+    return np.frombuffer(payload, dtype="<f4").reshape(shape)
 
 
 def save(path, arr: np.ndarray) -> None:

@@ -24,7 +24,7 @@ from .tensor import (Tensor, ShapeError, accumulate, as_tensor, kinks_active,
 
 __all__ = [
     "add", "sub", "mul", "div", "one_minus", "relu", "sigmoid", "log",
-    "clamp", "concat", "stack_time", "reshape", "conv2d", "conv3d",
+    "clamp", "concat", "narrow", "stack_time", "reshape", "conv2d", "conv3d",
     "batch_norm", "upsample_bilinear", "global_avg_pool", "matvec",
     "scale_channels", "scale_map",
     "sum_all", "mean_all",
@@ -185,6 +185,24 @@ def concat(parts, axis: int) -> Tensor:
     return record("concat", tuple(parts), out, adjoint)
 
 
+def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
+    """View of ``x`` restricted to [start, stop) along ``axis``."""
+    if not 0 <= axis < x.ndim:
+        raise ShapeError(f"narrow: axis {axis} out of range for {x.shape}")
+    if not 0 <= start < stop <= x.shape[axis]:
+        raise ShapeError(f"narrow: [{start}, {stop}) is not a non-empty "
+                         f"range within {x.shape[axis]} (axis {axis})")
+    index = (slice(None),) * axis + (slice(start, stop),)
+    out = Tensor(x.data[index])
+
+    def adjoint(g):
+        gx = np.zeros(x.shape, dtype=g.dtype)
+        gx[index] = g
+        accumulate(x, gx)
+
+    return record("narrow", (x,), out, adjoint)
+
+
 def stack_time(a: Tensor, b: Tensor) -> Tensor:
     """Stack two [N,C,H,W] maps into [N,C,2,H,W] along a new time axis."""
     same_shape("stack_time", a, b)
@@ -278,14 +296,18 @@ def _conv(name: str, x: Tensor, weight: Tensor, bias, s: int,
     wtaps = np.moveaxis(weight.data.reshape(k, c, kh * kw), 2, 0).copy()
 
     xq = _phases(xd, s, p, hq, wq, slack)
-    grid = np.zeros((k, cols), dtype=np.result_type(xq, wtaps))
+    grid = np.empty((k, cols), dtype=np.result_type(xq, wtaps))
     # Column blocks of 64K grid elements keep each tap's product and the
-    # running sum in cache.
+    # running sum in cache; the first tap writes the block, later taps add.
     step = max((1 << 16) // k, 1)
     for a in range(0, cols, step):
         g = grid[:, a:a + step]
-        for wt, (ph, off) in zip(wtaps, taps):
-            g += wt @ xq[ph, :, a + off:a + off + g.shape[1]]
+        for t, (wt, (ph, off)) in enumerate(zip(wtaps, taps)):
+            piece = xq[ph, :, a + off:a + off + g.shape[1]]
+            if t:
+                g += wt @ piece
+            else:
+                np.matmul(wt, piece, out=g)
     del xq
     out_d = _unphase(grid[None], 1, 0, n, ho, wo, hq, wq)
     if bias is not None:

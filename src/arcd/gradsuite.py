@@ -183,6 +183,9 @@ def build_suite() -> list[SuiteCase]:
         SuiteCase("concat", 1e-4, lambda s: gradcheck(
             lambda a, b: projected_sum(ops.concat([a, b], axis=1), s),
             [(2, 3, 4, 4), (2, 2, 4, 4)], s)),
+        SuiteCase("narrow", 1e-4, lambda s: gradcheck(
+            lambda x: projected_sum(ops.narrow(x, 1, 1, 3), s),
+            [(2, 4, 3, 3)], s)),
         SuiteCase("loss_total", 1e-4, _loss_case),
         SuiteCase("fam_block", 1e-3, _module_case(
             _fam, [(1, 6, 4, 4), (1, 4, 8, 8)])),

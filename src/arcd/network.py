@@ -266,14 +266,21 @@ class UncertaintyBranch(Module):
 class ReviewBlock(Module):
     """Refine the fine-level trunk with one coarser difference level.
 
-    The coarse features and their prediction are upsampled to the trunk
-    resolution; three 1x1 transition convs split the concatenation into
+    Three 1x1 transition convs mix the trunk and the coarse features into
     branches gated by conflict attention, reverse attention, and identity
     (each followed by channel attention and a 3x3 conv); the branch sum,
     concatenated with the fine prediction and fused, is added to the
     trunk as a residual, giving the refined features and their
     prediction.  Disabled attention branches keep their convs and simply
     skip the gating product.
+
+    Each transition's weight spans the trunk channels, then the coarse
+    ones, as if applied to their concatenation at the trunk resolution.
+    A 1x1 conv commutes with bilinear upsampling, so the coarse columns
+    are applied at the coarse resolution and only their out_ch-channel
+    result is upsampled: the same function without building the upsampled
+    coarse level or the concatenation.  The coarse prediction is
+    upsampled for the attention maps.
     """
 
     def __init__(self, low_ch: int, high_ch: int, out_ch: int, *,
@@ -296,6 +303,18 @@ class ReviewBlock(Module):
                            dtype=dtype)
         self.head = Conv2d(out_ch, 1, 1, rng=rng, dtype=dtype)
 
+    @staticmethod
+    def _transition(trans: Conv2d, d_low: Tensor, d_high: Tensor,
+                    factor: int) -> Tensor:
+        """``trans`` of [d_low, upsampled d_high], upsampling after mixing."""
+        low_ch, cat_ch = d_low.shape[1], trans.weight.shape[1]
+        w_low = ops.narrow(trans.weight, 1, 0, low_ch)
+        w_high = ops.narrow(trans.weight, 1, low_ch, cat_ch)
+        k_high = ops.conv2d(d_high, w_high, None)
+        if factor > 1:
+            k_high = ops.upsample_bilinear(k_high, factor)
+        return ops.add(ops.conv2d(d_low, w_low, trans.bias), k_high)
+
     def forward(self, d_low: Tensor, d_high: Tensor, p_low: Tensor,
                 p_high: Tensor) -> tuple[Tensor, Tensor]:
         """Returns the refined features and the new prediction LOGITS."""
@@ -303,13 +322,9 @@ class ReviewBlock(Module):
             raise ShapeError(f"review block: coarse map {d_high.shape} does "
                              f"not divide fine map {d_low.shape} spatially")
         factor = d_low.shape[2] // d_high.shape[2]
-        d_up = ops.upsample_bilinear(d_high, factor) if factor > 1 else d_high
         p_up = ops.upsample_bilinear(p_high, factor) if factor > 1 else p_high
-
-        x = ops.concat([d_low, d_up], axis=1)
-        k1 = self.trans1(x)
-        k2 = self.trans2(x)
-        k3 = self.trans3(x)
+        k1, k2, k3 = (self._transition(t, d_low, d_high, factor)
+                      for t in (self.trans1, self.trans2, self.trans3))
 
         if self.use_conflict:
             coa = conflict_attention(p_low, p_up)

@@ -1,5 +1,7 @@
 """Architecture contracts: shapes, symmetry, ablation semantics, wiring."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,77 @@ class TestReviewBlock:
             full, _ = base(*inputs)
             cut, _ = ablated(*inputs)
         assert not np.allclose(full.data, cut.data)
+
+    @staticmethod
+    def _concat_oracle(block, d_low, d_high, p_low, p_high):
+        """The block as first written: upsample the coarse level, concatenate
+        it with the trunk, apply each transition to the concatenation."""
+        factor = d_low.shape[2] // d_high.shape[2]
+        d_up = ops.upsample_bilinear(d_high, factor)
+        p_up = ops.upsample_bilinear(p_high, factor)
+        x = ops.concat([d_low, d_up], axis=1)
+        k1, k2, k3 = block.trans1(x), block.trans2(x), block.trans3(x)
+        if block.use_conflict:
+            coa = conflict_attention(p_low, p_up)
+            k1 = ops.add(k1, ops.scale_map(k1, coa))
+        if block.use_reverse:
+            k2 = ops.add(k2, ops.scale_map(k2, reverse_attention(p_up)))
+        b = ops.add(ops.add(block.conv1(block.attn1(k1)),
+                            block.conv2(block.attn2(k2))),
+                    block.conv3(block.attn3(k3)))
+        refined = ops.add(block.fuse(ops.concat([p_low, b], axis=1)), d_low)
+        return refined, block.head(refined)
+
+    @pytest.mark.parametrize("factor", [2, 4, 8])
+    @pytest.mark.parametrize("use_conflict", [False, True])
+    @pytest.mark.parametrize("use_reverse", [False, True])
+    def test_matches_concat_then_transition_oracle(self, factor, use_conflict,
+                                                   use_reverse):
+        rng = np.random.default_rng(17 + factor)
+        block = ReviewBlock(4, 6, 4, use_conflict=use_conflict,
+                            use_reverse=use_reverse, rng=rng,
+                            dtype=np.float64)
+        for _, p in block.named_parameters():
+            if p.ndim == 1:   # biases start at zero; make them count
+                p.data[:] = rng.standard_normal(p.shape)
+        block.eval()
+        side = 4 * factor
+        inputs = (Tensor(rng.standard_normal((2, 4, side, side))),
+                  Tensor(rng.standard_normal((2, 6, 4, 4))),
+                  Tensor(rng.uniform(0.05, 0.95, (2, 1, side, side))),
+                  Tensor(rng.uniform(0.05, 0.95, (2, 1, 4, 4))))
+        with no_grad():
+            got = block(*inputs)
+            want = self._concat_oracle(block, *inputs)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.abs(g.data - w.data).max() < 1e-12
+
+    def test_upsamples_only_mixed_channels(self):
+        # The coarse level is mixed down to out_ch channels before it is
+        # upsampled, so the wide upsampled level and its concatenation with
+        # the trunk are never built.
+        rng = np.random.default_rng(18)
+        block = ReviewBlock(16, 128, 16, use_conflict=True, use_reverse=True,
+                            rng=rng)
+        block.eval()
+        inputs = (Tensor(rng.standard_normal((1, 16, 128, 128))
+                         .astype(np.float32)),
+                  Tensor(rng.standard_normal((1, 128, 16, 16))
+                         .astype(np.float32)),
+                  Tensor(rng.uniform(0, 1, (1, 1, 128, 128))
+                         .astype(np.float32)),
+                  Tensor(rng.uniform(0, 1, (1, 1, 16, 16))
+                         .astype(np.float32)))
+        tracemalloc.start()
+        try:
+            with no_grad():
+                outputs = block(*inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        io_bytes = sum(t.data.nbytes for t in (*inputs, *outputs))
+        assert peak < 6 * io_bytes
 
     def test_zero_features_stay_finite(self):
         rng = np.random.default_rng(15)

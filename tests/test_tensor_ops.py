@@ -327,6 +327,21 @@ class TestElementwise:
         y = ops.clamp(Tensor(np.array([-1.0, 0.5, 2.0])), 0.0, 1.0)
         assert (y.data == [0.0, 0.5, 1.0]).all()
 
+    def test_narrow_is_a_view_with_checked_range(self):
+        x = Tensor(np.arange(24.0).reshape(2, 3, 4))
+        y = ops.narrow(x, 2, 1, 3)
+        assert np.shares_memory(y.data, x.data)
+        assert np.array_equal(y.data, x.data[:, :, 1:3])
+        for axis, start, stop in ((3, 0, 1), (1, 2, 2), (1, -1, 2),
+                                  (1, 0, 4)):
+            with pytest.raises(ShapeError):
+                ops.narrow(x, axis, start, stop)
+
+    def test_narrow_scatters_its_gradient(self):
+        x = Tensor(np.ones((2, 5)), requires_grad=True)
+        backward(ops.sum_all(ops.mul(ops.narrow(x, 1, 1, 3), 2.0)))
+        assert np.array_equal(x.grad, [[0, 2, 2, 0, 0]] * 2)
+
     def test_concat_and_shapes(self):
         a = Tensor(np.ones((1, 2, 3, 3)))
         b = Tensor(np.zeros((1, 4, 3, 3)))
@@ -500,3 +515,52 @@ class TestArct:
                          + bytes(16))
         with open(path, "rb") as f, pytest.raises(arct.ArctFormatError):
             arct.read_record(f)
+
+    def test_oversized_header_on_a_pipe_rejected(self):
+        # A pipe cannot be measured before reading.  Asking it for the
+        # 4 TiB the header claims fails in the allocator at once; bounded
+        # reads find the stream short after 16 bytes.
+        import os
+        from arcd.autodiff import arct
+        r, w = os.pipe()
+        with os.fdopen(w, "wb") as fw:
+            fw.write(b"ARCT\x01\x02" + struct.pack("<2I", 2 ** 20, 2 ** 20)
+                     + bytes(16))
+        with os.fdopen(r, "rb") as f:
+            assert not f.seekable()
+            with pytest.raises(arct.ArctFormatError, match="got 16"):
+                arct.read_record(f)
+
+    @pytest.mark.parametrize("chunk", [None, 4096])
+    def test_multi_chunk_roundtrip_on_a_non_seekable_stream(self, monkeypatch,
+                                                            chunk):
+        import io
+        from arcd.autodiff import arct
+
+        class Unseekable(io.RawIOBase):
+            """Hands out at most 1000 bytes per read, like a pipe."""
+
+            def __init__(self, data):
+                self._src = io.BytesIO(data)
+
+            def readable(self):
+                return True
+
+            def readinto(self, b):
+                return self._src.readinto(memoryview(b)[:1000])
+
+        if chunk is not None:
+            monkeypatch.setattr(arct, "_CHUNK", chunk)
+        arr = np.random.default_rng(12).standard_normal(
+            (3, 2 * arct._CHUNK // 4 + 5)).astype(np.float32)
+        buf = io.BytesIO()
+        arct.write_record(buf, arr)
+        arct.write_record(buf, arr[:1, :7])
+        stream = Unseekable(buf.getvalue())
+        assert not stream.seekable()
+        assert np.array_equal(arct.read_record(stream), arr)
+        assert np.array_equal(arct.read_record(stream), arr[:1, :7])
+        clipped = Unseekable(buf.getvalue()[:-3])
+        assert np.array_equal(arct.read_record(clipped), arr)
+        with pytest.raises(arct.ArctFormatError, match="truncated"):
+            arct.read_record(clipped)
