@@ -27,7 +27,7 @@ class ArctFormatError(ArcdError, ValueError):
 
 def write_record(f: BinaryIO, arr: np.ndarray) -> None:
     """Append one tensor record to an open binary stream."""
-    arr = np.ascontiguousarray(arr)
+    arr = np.asarray(arr)   # not ascontiguousarray: it makes rank 0 rank 1
     if arr.ndim > 255:
         raise ArctFormatError(f"rank {arr.ndim} exceeds the format limit of 255")
     f.write(MAGIC)

@@ -3,8 +3,9 @@
 Every differentiable primitive records itself on a per-thread operation
 record while gradients are enabled.  ``backward`` replays the recorded
 adjoints in exact reverse execution order and consumes the record, so a
-record is used at most once.  Distinct threads own distinct records and
-never share mutable state.
+record is used at most once; each entry, its closure's activations and
+its output's gradient are released as soon as its adjoint has run.
+Distinct threads own distinct records and never share mutable state.
 """
 
 from __future__ import annotations
@@ -148,12 +149,15 @@ class Parameter(Tensor):
     """Trainable leaf tensor.
 
     ``decay`` marks whether the weight-decay term applies; biases and
-    normalization scales set it to False.
+    normalization scales set it to False.  ``grad_slot``, when an
+    optimizer has set it, is the preallocated array that receives the
+    parameter's gradient.
     """
 
     def __init__(self, data, decay: bool = True, dtype=None):
         super().__init__(data, requires_grad=True, dtype=dtype)
         self.decay = bool(decay)
+        self.grad_slot: Optional[np.ndarray] = None
 
 
 def grad_enabled() -> bool:
@@ -182,20 +186,41 @@ def record(op: str, inputs: Sequence[Tensor], output: Tensor,
 
 
 def accumulate(t, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``; gradients add across reuses of a tensor."""
+    """Add ``g`` into ``t.grad``; gradients add across reuses of a tensor.
+
+    A parameter's gradient lives in its ``grad_slot`` when it has one: the
+    first gradient is copied in and later ones add in place.  Any other
+    tensor keeps a first gradient that is a C-contiguous, writeable array
+    of its dtype as it is (adjoints build fresh arrays, and ``add`` hands
+    one array to both inputs), and grows later ones out of place, so an
+    array shared between two gradients is never written through either.
+    """
     if not (isinstance(t, Tensor) and t.requires_grad):
         return
+    slot = getattr(t, "grad_slot", None)
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
-    else:
+        if slot is not None:
+            np.copyto(slot, g)
+            t.grad = slot
+        elif (isinstance(g, np.ndarray) and g.dtype == t.data.dtype
+              and g.flags.c_contiguous and g.flags.writeable):
+            t.grad = g
+        else:
+            t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+    elif t.grad is slot:
         t.grad += g
+    else:
+        t.grad = np.add(t.grad, g, out=np.empty_like(t.grad))
 
 
 def backward(loss: Tensor) -> None:
     """Populate d(loss)/d(leaf) for every leaf the scalar loss depends on.
 
     Consumes the thread's operation record: adjoints run in exact reverse
-    execution order, and the record is cleared afterwards.
+    execution order.  Each entry is dropped, and its output's gradient
+    cleared, before its adjoint runs, so activations and intermediate
+    gradients are freed once their last use has passed; afterwards only
+    leaves hold gradients.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor loss")
@@ -205,11 +230,11 @@ def backward(loss: Tensor) -> None:
     entries = _STATE.entries
     _STATE.entries = []
     loss.grad = np.ones((), dtype=loss.data.dtype)
-    for entry in reversed(entries):
-        g = entry.output.grad
-        if g is None:
-            continue
-        entry.adjoint(g)
+    while entries:
+        entry = entries.pop()
+        g, entry.output.grad = entry.output.grad, None
+        if g is not None:
+            entry.adjoint(g)
 
 
 def clear_record() -> None:

@@ -49,7 +49,9 @@ def load(model: Module, path) -> None:
 
     The whole file is read and checked against the model first; weights
     are assigned only once it has passed, so a failed load leaves the
-    model unchanged.
+    model unchanged.  Weights are copied into the existing arrays, so a
+    model whose weights are views into an optimizer's buffer stays bound
+    to it.
     """
     path = Path(path)
     params = list(model.named_parameters())
@@ -98,7 +100,7 @@ def load(model: Module, path) -> None:
             raise CheckpointError(f"{path}: trailing bytes after the last "
                                   f"running-statistics record")
     for (_, p), arr in zip(params, arrays):
-        p.data = arr.astype(p.data.dtype)
+        np.copyto(p.data, arr)
     for (_, bn), record in zip(bns, stats):
         bn.running_mean = record[0].astype(bn.running_mean.dtype)
         bn.running_var = record[1].astype(bn.running_var.dtype)

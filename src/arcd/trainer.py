@@ -26,6 +26,8 @@ from .metrics import ConfusionMatrix, MetricScores, confusion, score
 from .network import AblationConfig, ChangeDetector, variant_config
 
 LOG_NAME = "loss_log.tsv"
+# Elements per AdamW pass: the two scratch blocks stay in cache.
+_BLOCK = 1 << 15
 FINAL_CHECKPOINT = "model.ckpt"
 
 
@@ -105,7 +107,11 @@ class AdamW:
     """Adam with decoupled weight decay and bias-corrected moments.
 
     Normalization scales and biases are exempt from decay (their
-    parameters carry ``decay=False``).
+    parameters carry ``decay=False``).  Weights, gradients and both
+    moments live in four flat arrays with the decayed parameters first;
+    each parameter's ``data`` and ``grad_slot`` are views into them, as
+    are ``m[name]`` and ``v[name]``, so one step is a handful of
+    element-wise passes over the whole model.
     """
 
     def __init__(self, named_params: Sequence[tuple[str, Parameter]],
@@ -113,32 +119,76 @@ class AdamW:
         self.params = list(named_params)
         self.cfg = cfg
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params}
+        dtypes = {p.dtype for _, p in self.params}
+        if len(dtypes) > 1:
+            raise OptimizerError(f"parameters mix dtypes "
+                                 f"{sorted(map(str, dtypes))}")
+        dtype = dtypes.pop() if dtypes else np.float64
+        layout = sorted(self.params, key=lambda item: not item[1].decay)
+        size = sum(p.size for _, p in self.params)
+        self.n_decay = sum(p.size for _, p in self.params if p.decay)
+        self.data, self.grad, self.m_flat, self.v_flat = (
+            np.zeros(size, dtype) for _ in range(4))
+        self.m, self.v = {}, {}
+        offset = 0
+        for name, p in layout:
+            span = slice(offset, offset + p.size)
+            offset += p.size
+            self.data[span] = p.data.reshape(-1)
+            p.data = self.data[span].reshape(p.shape)
+            p.grad_slot = self.grad[span].reshape(p.shape)
+            self.m[name] = self.m_flat[span].reshape(p.shape)
+            self.v[name] = self.v_flat[span].reshape(p.shape)
+        self._scratch = np.empty((2, min(size, _BLOCK)), dtype)
+
+    def _check_finite(self, stop: int) -> None:
+        """Name the first of ``params[:stop]`` whose gradient is not finite."""
+        for name, p in self.params[:stop]:
+            if not np.isfinite(p.grad_slot).all():
+                raise OptimizerError(f"non-finite gradient for parameter "
+                                     f"'{name}'")
 
     def step(self, lr: float) -> None:
         cfg = self.cfg
-        for name, p in self.params:
+        for i, (name, p) in enumerate(self.params):
             if p.grad is None:
+                self._check_finite(i)
                 raise OptimizerError(f"parameter '{name}' has no gradient")
-            if not np.isfinite(p.grad).all():
-                raise OptimizerError(f"non-finite gradient for parameter "
-                                     f"'{name}'")
+            if p.grad is not p.grad_slot:
+                np.copyto(p.grad_slot, p.grad)
+        if not np.isfinite(self.grad).all():
+            self._check_finite(len(self.params))
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - cfg.beta1 ** t
         c2 = 1.0 - cfg.beta2 ** t
-        for name, p in self.params:
-            g = p.grad
-            m = self.m[name]
-            v = self.v[name]
+        lr = float(lr)
+        decay = lr * cfg.weight_decay
+        n_decay = self.n_decay if cfg.weight_decay else 0
+        # Element for element the per-tensor update, in its operation
+        # order (the tests hold the two equal bit for bit):
+        #   m = m*b1 + (1-b1)*g;  v = v*b2 + (1-b2)*g*g
+        #   p -= lr*wd*p (decayed only);  p -= lr*(m/c1) / (sqrt(v/c2) + eps)
+        for a in range(0, self.data.size, _BLOCK):
+            b = min(a + _BLOCK, self.data.size)
+            g, m, v, p = (buf[a:b] for buf in
+                          (self.grad, self.m_flat, self.v_flat, self.data))
+            s1, s2 = self._scratch[:, :b - a]
             m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
+            m += np.multiply(g, 1.0 - cfg.beta1, out=s1)
             v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            if p.decay and cfg.weight_decay:
-                p.data -= lr * cfg.weight_decay * p.data
-            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+            np.multiply(g, 1.0 - cfg.beta2, out=s1)
+            v += np.multiply(s1, g, out=s1)
+            if a < n_decay:
+                d = min(b, n_decay) - a
+                p[:d] -= np.multiply(p[:d], decay, out=s1[:d])
+            np.divide(m, c1, out=s1)
+            s1 *= lr
+            np.divide(v, c2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += cfg.eps
+            s1 /= s2
+            p -= s1
 
 
 @dataclass

@@ -67,6 +67,25 @@ class TestRoundTrip:
         assert np.array_equal(bn.running_var, bn2.running_var)
         assert not np.allclose(bn2.running_mean, 0.0)
 
+    def test_load_keeps_model_bound_to_optimizer(self, tmp_path):
+        # Weights are views into the optimizer's buffer; a load that
+        # rebound them would leave later steps moving a detached copy.
+        from arcd.trainer import AdamW, TrainConfig
+        saved = ChangeDetector(seed=3, dtype=np.float32)
+        path = tmp_path / "m.ckpt"
+        checkpoint.save(saved, path)
+        model = ChangeDetector(seed=0, dtype=np.float32)
+        params = list(model.named_parameters())
+        opt = AdamW(params, TrainConfig())
+        checkpoint.load(model, path)
+        for (name, p), (_, q) in zip(params, saved.named_parameters()):
+            assert np.array_equal(p.data, q.data), name
+            p.grad = np.ones_like(p.data)
+        opt.step(1e-3)
+        for (name, p), (_, q) in zip(params, saved.named_parameters()):
+            assert np.shares_memory(p.data, opt.data), name
+            assert not np.array_equal(p.data, q.data), name
+
     def test_double_save_identical_bytes(self, tmp_path):
         model = _trained_ish_model(3)
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

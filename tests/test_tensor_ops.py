@@ -445,6 +445,42 @@ class TestBackward:
         backward(y)
         assert record_length() == 0
 
+    def test_only_leaves_keep_gradients(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        unused = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        h = ops.relu(ops.mul(x, w))
+        z = ops.add(ops.sigmoid(h), x)
+        loss = ops.sum_all(ops.mul(z, z))
+        backward(loss)
+        assert record_length() == 0
+        for t in (h, z, loss):
+            assert t.grad is None
+        assert x.grad is not None and w.grad is not None
+        assert unused.grad is None
+        s = 1.0 / (1.0 + np.exp(-np.maximum(x.data * w.data, 0.0)))
+        dz = 2.0 * (s + x.data)
+        dh = dz * s * (1.0 - s) * (x.data * w.data > 0.0)
+        assert np.allclose(x.grad, dz + dh * w.data, rtol=1e-12)
+        assert np.allclose(w.grad, dh * x.data, rtol=1e-12)
+
+    def test_shared_add_gradient_is_not_aliased(self):
+        # add hands one array to both inputs; growing a's gradient by its
+        # earlier use, whose adjoint runs later, must not change b's.
+        rng = np.random.default_rng(6)
+        a = Tensor(rng.standard_normal(4), requires_grad=True)
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+        c = rng.standard_normal(4)
+        first = ops.sum_all(ops.mul(a, 3.0))
+        y = ops.add(a, b)
+        loss = ops.add(first, ops.sum_all(ops.mul(y, Tensor(c))))
+        backward(loss)
+        assert a.grad is not b.grad
+        assert not np.shares_memory(a.grad, b.grad)
+        assert np.array_equal(b.grad, c)
+        assert np.array_equal(a.grad, c + 3.0)
+
     def test_no_grad_suppresses_recording(self):
         clear_record()
         x = Tensor(np.ones(3), requires_grad=True)
@@ -478,6 +514,15 @@ class TestArct:
         back = arct.load(path)
         assert back.dtype == np.float32
         assert np.array_equal(back, arr)
+
+    def test_rank0_roundtrip(self):
+        import io
+        from arcd.autodiff import arct
+        buf = io.BytesIO()
+        arct.write_record(buf, np.array(2.5, dtype=np.float32))
+        assert buf.getvalue()[5] == 0          # rank byte, no dimensions
+        back = arct.read_record(io.BytesIO(buf.getvalue()))
+        assert back.shape == () and back[()] == np.float32(2.5)
 
     def test_header_layout(self, tmp_path):
         from arcd.autodiff import arct

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from arcd.autodiff import Parameter, Tensor, backward
+from arcd.autodiff.tensor import accumulate
 from arcd.data import AugmentationPolicy, SyntheticSceneSpec, generate
 from arcd.errors import ConfigError, OptimizerError, TrainingDiverged
 from arcd.network import ChangeDetector, variant_config
@@ -101,6 +102,82 @@ class TestAdamW:
         opt = AdamW([("blk.weight", p)], TrainConfig())
         with pytest.raises(OptimizerError, match="blk.weight"):
             opt.step(0.1)
+
+    @pytest.mark.parametrize("bad, missing, want", [
+        ({"b.weight"}, None, "non-finite gradient for parameter 'b.weight'"),
+        ({"a.bias", "c.weight"}, None, "'a.bias'"),
+        ({"a.bias"}, "c.weight", "non-finite gradient for parameter 'a.bias'"),
+    ])
+    def test_first_bad_parameter_in_model_order(self, bad, missing, want):
+        # The arena stores decayed weights before the exempt bias; errors
+        # still follow the order the parameters were given in.
+        params = [("a.bias", self._param(0.0, decay=False)),
+                  ("b.weight", self._param(1.0)),
+                  ("c.weight", self._param(2.0))]
+        opt = AdamW(params, TrainConfig())
+        for name, p in params:
+            p.grad = (None if name == missing else
+                      np.array([np.inf if name in bad else 0.5]))
+        with pytest.raises(OptimizerError, match=want):
+            opt.step(0.1)
+
+
+class ReferenceAdamW:
+    """The per-tensor AdamW loop the fused arena update must reproduce."""
+
+    def __init__(self, named_params, cfg):
+        self.params = list(named_params)
+        self.cfg = cfg
+        self.step_count = 0
+        self.m = {name: np.zeros_like(p.data) for name, p in self.params}
+        self.v = {name: np.zeros_like(p.data) for name, p in self.params}
+
+    def step(self, lr):
+        cfg = self.cfg
+        self.step_count += 1
+        t = self.step_count
+        c1 = 1.0 - cfg.beta1 ** t
+        c2 = 1.0 - cfg.beta2 ** t
+        for name, p in self.params:
+            g = p.grad
+            m = self.m[name]
+            v = self.v[name]
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * g
+            v *= cfg.beta2
+            v += (1.0 - cfg.beta2) * g * g
+            if p.decay and cfg.weight_decay:
+                p.data -= lr * cfg.weight_decay * p.data
+            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+
+
+class TestFusedAdamW:
+    def test_bit_identical_to_per_tensor_loop(self):
+        fused = list(ChangeDetector(seed=0).named_parameters())
+        ref = [(name, Parameter(p.data.copy(), decay=p.decay))
+               for name, p in fused]
+        cfg = TrainConfig(weight_decay=0.05)
+        opt, ref_opt = AdamW(fused, cfg), ReferenceAdamW(ref, cfg)
+        rng = np.random.default_rng(17)
+        for it in range(5):
+            for i, ((_, p), (_, q)) in enumerate(zip(fused, ref)):
+                g = (np.zeros(p.shape, p.dtype) if (i + it) % 7 == 0 else
+                     rng.standard_normal(p.shape).astype(p.dtype))
+                q.grad = g.copy()
+                p.grad = None
+                if it % 2:
+                    p.grad = g          # assigned: step copies it in
+                else:
+                    accumulate(p, g)    # written into the arena slot
+            lr = poly_lr(it, TrainConfig(lr0=1e-3, max_iteration=5))
+            opt.step(lr)
+            ref_opt.step(lr)
+        for (name, p), (_, q) in zip(fused, ref):
+            assert np.array_equal(p.data, q.data), name
+            assert np.array_equal(opt.m[name], ref_opt.m[name]), name
+            assert np.array_equal(opt.v[name], ref_opt.v[name]), name
+            assert np.shares_memory(p.data, opt.data), name
+
 
 
 class TestConfigFile:
