@@ -162,7 +162,7 @@ class AdamW:
         t = self.step_count
         c1 = 1.0 - cfg.beta1 ** t
         c2 = 1.0 - cfg.beta2 ** t
-        lr = float(lr)
+        lr = float(lr)      # a Python float keeps the arithmetic in dtype
         decay = lr * cfg.weight_decay
         n_decay = self.n_decay if cfg.weight_decay else 0
         # Element for element the per-tensor update, in its operation

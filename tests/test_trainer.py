@@ -104,9 +104,9 @@ class TestAdamW:
             opt.step(0.1)
 
     @pytest.mark.parametrize("bad, missing, want", [
-        ({"b.weight"}, None, "non-finite gradient for parameter 'b.weight'"),
-        ({"a.bias", "c.weight"}, None, "'a.bias'"),
-        ({"a.bias"}, "c.weight", "non-finite gradient for parameter 'a.bias'"),
+        ({"b.weight"}, None, "non-finite .* 'b.weight'"),
+        ({"a.bias", "c.weight"}, None, "non-finite .* 'a.bias'"),
+        ({"a.bias"}, "c.weight", "non-finite .* 'a.bias'"),
     ])
     def test_first_bad_parameter_in_model_order(self, bad, missing, want):
         # The arena stores decayed weights before the exempt bias; errors
