@@ -1,9 +1,10 @@
 """Differentiable primitives.
 
 Broadcasting is deliberately restricted to the cases the network uses:
-python scalars against tensors, per-channel bias inside ``matvec``/conv,
-and the two explicit attention products (``scale_channels``,
-``scale_map``).  Anything else raises a ShapeError.
+python scalars against tensors, per-channel bias inside conv, and
+``mul`` by a same-rank tensor with size 1 on some axes (the
+squeeze-excite gate [N,C,1,1] and the single-channel attention maps
+[N,1,H,W]).  Anything else raises a ShapeError.
 
 Both convolutions share one core that sums one GEMM per kernel tap over
 the stride phases of the zero-padded input, with no patch matrix; its
@@ -11,6 +12,9 @@ adjoint rebuilds the phases instead of keeping them alive until backward.
 ``conv3d`` accepts only a kernel spanning the whole time axis (kt == T,
 no time padding, equal spatial padding), the one case the network uses,
 which is ``conv2d`` with time folded into channels.
+
+The two training losses, ``bce`` and ``dice``, are single primitives
+with closed-form adjoints; their target is a constant.
 """
 
 from __future__ import annotations
@@ -23,11 +27,9 @@ from .tensor import (Tensor, ShapeError, accumulate, as_tensor, kinks_active,
                      note_kink, record, same_shape)
 
 __all__ = [
-    "add", "sub", "mul", "div", "one_minus", "relu", "sigmoid", "log",
-    "clamp", "concat", "narrow", "stack_time", "reshape", "conv2d", "conv3d",
-    "batch_norm", "upsample_bilinear", "global_avg_pool", "matvec",
-    "scale_channels", "scale_map",
-    "sum_all", "mean_all",
+    "add", "mul", "one_minus", "relu", "sigmoid", "concat", "narrow",
+    "stack_time", "reshape", "conv2d", "conv3d", "batch_norm",
+    "upsample_bilinear", "global_avg_pool", "sum_all", "bce", "dice",
 ]
 
 
@@ -60,60 +62,33 @@ def add(a, b) -> Tensor:
     return record("add", (t,), out, lambda g: accumulate(t, g))
 
 
-def sub(a, b) -> Tensor:
-    """Elementwise a - b."""
-    if isinstance(a, Tensor) and isinstance(b, Tensor):
-        same_shape("sub", a, b)
-        out = Tensor(a.data - b.data)
-
-        def adjoint(g):
-            accumulate(a, g)
-            accumulate(b, -g)
-
-        return record("sub", (a, b), out, adjoint)
-    if isinstance(a, Tensor) and np.isscalar(b):
-        out = Tensor(a.data - a.data.dtype.type(float(b)))
-        return record("sub", (a,), out, lambda g: accumulate(a, g))
-    if isinstance(b, Tensor) and np.isscalar(a):
-        out = Tensor(b.data.dtype.type(float(a)) - b.data)
-        return record("sub", (b,), out, lambda g: accumulate(b, -g))
-    raise ShapeError(f"sub: expected Tensor operands or a Tensor and a "
-                     f"python scalar, got {type(a).__name__}/{type(b).__name__}")
-
-
 def mul(a, b) -> Tensor:
-    """Elementwise a * b."""
+    """Elementwise a * b.
+
+    A tensor ``b`` may also have ``a``'s rank with size 1 on axes where
+    ``a`` is larger; it broadcasts along them and its gradient is summed
+    back over them.
+    """
     if isinstance(a, Tensor) and isinstance(b, Tensor):
-        same_shape("mul", a, b)
+        if b.ndim != a.ndim or any(m not in (1, n)
+                                   for n, m in zip(a.shape, b.shape)):
+            raise ShapeError(f"mul: operand shapes {a.shape} and {b.shape} "
+                             f"differ; the second may differ only by "
+                             f"size-1 axes")
+        axes = tuple(ax for ax, (n, m) in enumerate(zip(a.shape, b.shape))
+                     if m != n)
         out = Tensor(a.data * b.data)
 
         def adjoint(g):
             accumulate(a, g * b.data)
-            accumulate(b, g * a.data)
+            gb = g * a.data
+            accumulate(b, gb.sum(axis=axes, keepdims=True) if axes else gb)
 
         return record("mul", (a, b), out, adjoint)
     t, _, s = _binary_operands("mul", a, b)
     s = t.data.dtype.type(s)
     out = Tensor(t.data * s)
     return record("mul", (t,), out, lambda g: accumulate(t, g * s))
-
-
-def div(a, b) -> Tensor:
-    """Elementwise a / b."""
-    if isinstance(a, Tensor) and isinstance(b, Tensor):
-        same_shape("div", a, b)
-        out = Tensor(a.data / b.data)
-
-        def adjoint(g):
-            accumulate(a, g / b.data)
-            accumulate(b, -g * a.data / (b.data * b.data))
-
-        return record("div", (a, b), out, adjoint)
-    if isinstance(a, Tensor):
-        s = a.data.dtype.type(float(b))
-        out = Tensor(a.data / s)
-        return record("div", (a,), out, lambda g: accumulate(a, g / s))
-    raise ShapeError("div: scalar / tensor is not supported")
 
 
 def one_minus(x: Tensor) -> Tensor:
@@ -142,23 +117,6 @@ def sigmoid(x: Tensor) -> Tensor:
     out = Tensor(y)
     return record("sigmoid", (x,), out,
                   lambda g: accumulate(x, g * y * (1.0 - y)))
-
-
-def log(x: Tensor) -> Tensor:
-    """Natural logarithm; callers must keep values positive."""
-    out = Tensor(np.log(x.data))
-    return record("log", (x,), out, lambda g: accumulate(x, g / x.data))
-
-
-def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clip into [lo, hi]; gradient is zero where the bound binds."""
-    inside = (x.data > lo) & (x.data < hi)
-    if kinks_active():
-        note_kink(inside, float(np.minimum(np.abs(x.data - lo),
-                                           np.abs(x.data - hi)).min())
-                  if x.size else np.inf)
-    out = Tensor(np.clip(x.data, lo, hi))
-    return record("clamp", (x,), out, lambda g: accumulate(x, g * inside))
 
 
 def concat(parts, axis: int) -> Tensor:
@@ -504,77 +462,21 @@ def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Pooling, projection, attention products
+# Pooling
 # ---------------------------------------------------------------------------
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """[N,C,H,W] -> [N,C] spatial mean."""
+    """[N,C,H,W] -> [N,C,1,1] spatial mean."""
     if x.ndim != 4:
         raise ShapeError(f"global_avg_pool: input must be [N,C,H,W], got {x.shape}")
-    n, c, h, w = x.shape
-    out = Tensor(x.data.mean(axis=(2, 3)))
+    h, w = x.shape[2:]
+    out = Tensor(x.data.mean(axis=(2, 3), keepdims=True))
     scale = 1.0 / (h * w)
 
     def adjoint(g):
-        accumulate(x, np.broadcast_to((g * scale)[:, :, None, None], x.shape))
+        accumulate(x, np.broadcast_to(g * scale, x.shape))
 
     return record("global_avg_pool", (x,), out, adjoint)
-
-
-def matvec(x: Tensor, weight: Tensor, bias=None) -> Tensor:
-    """[N,Ci] @ weight[Co,Ci]^T (+ bias[Co]) -> [N,Co]."""
-    if x.ndim != 2 or weight.ndim != 2:
-        raise ShapeError(f"matvec: expected x [N,Ci] and weight [Co,Ci], got "
-                         f"{x.shape} and {weight.shape}")
-    if x.shape[1] != weight.shape[1]:
-        raise ShapeError(f"matvec: x has {x.shape[1]} features on axis 1 but "
-                         f"weight expects {weight.shape[1]}")
-    if bias is not None and bias.shape != (weight.shape[0],):
-        raise ShapeError(f"matvec: bias shape {bias.shape} does not match "
-                         f"{weight.shape[0]} outputs")
-    y = x.data @ weight.data.T
-    if bias is not None:
-        y = y + bias.data[None, :]
-    out = Tensor(y)
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-
-    def adjoint(g):
-        accumulate(x, g @ weight.data)
-        accumulate(weight, g.T @ x.data)
-        if bias is not None:
-            accumulate(bias, g.sum(axis=0))
-
-    return record("matvec", inputs, out, adjoint)
-
-
-def scale_channels(x: Tensor, s: Tensor) -> Tensor:
-    """[N,C,H,W] * s[N,C]: per-channel gate from a squeeze vector."""
-    if x.ndim != 4 or s.ndim != 2 or x.shape[:2] != s.shape:
-        raise ShapeError(f"scale_channels: expected x [N,C,H,W] and s [N,C], "
-                         f"got {x.shape} and {s.shape}")
-    sb = s.data[:, :, None, None]
-    out = Tensor(x.data * sb)
-
-    def adjoint(g):
-        accumulate(x, g * sb)
-        accumulate(s, (g * x.data).sum(axis=(2, 3)))
-
-    return record("scale_channels", (x, s), out, adjoint)
-
-
-def scale_map(x: Tensor, m: Tensor) -> Tensor:
-    """[N,C,H,W] * m[N,1,H,W]: single-channel attention map broadcast."""
-    if (x.ndim != 4 or m.ndim != 4 or m.shape[1] != 1
-            or x.shape[0] != m.shape[0] or x.shape[2:] != m.shape[2:]):
-        raise ShapeError(f"scale_map: expected x [N,C,H,W] and m [N,1,H,W], "
-                         f"got {x.shape} and {m.shape}")
-    out = Tensor(x.data * m.data)
-
-    def adjoint(g):
-        accumulate(x, g * m.data)
-        accumulate(m, (g * x.data).sum(axis=1, keepdims=True))
-
-    return record("scale_map", (x, m), out, adjoint)
 
 
 # ---------------------------------------------------------------------------
@@ -591,12 +493,55 @@ def sum_all(x: Tensor) -> Tensor:
     return record("sum", (x,), out, adjoint)
 
 
-def mean_all(x: Tensor) -> Tensor:
-    """Scalar mean over every element."""
-    out = Tensor(x.data.mean())
-    scale = 1.0 / x.size
+# ---------------------------------------------------------------------------
+# Losses (the target is a constant: no gradient flows into it)
+# ---------------------------------------------------------------------------
+
+def bce(p: Tensor, target, lo: float, hi: float) -> Tensor:
+    """Mean binary cross-entropy of ``p`` clipped into [lo, hi].
+
+    The gradient is zero where a bound binds.  The adjoint takes the
+    chain rule's elementwise steps through mean, log and clip in that
+    order; training's loss logs depend on the exact order.
+    """
+    target = as_tensor(target, dtype=p.dtype)
+    same_shape("bce", p, target)
+    d, t = p.data, target.data
+    inside = (d > lo) & (d < hi)
+    if kinks_active():
+        note_kink(inside, float(np.minimum(np.abs(d - lo),
+                                           np.abs(d - hi)).min())
+                  if p.size else np.inf)
+    cast = d.dtype.type
+    pc = np.clip(d, lo, hi)
+    omt, omp = cast(1.0) - t, cast(1.0) - pc
+    out = Tensor((t * np.log(pc) + omt * np.log(omp)).mean() * cast(-1.0))
 
     def adjoint(g):
-        accumulate(x, np.broadcast_to(g * scale, x.shape))
+        gs = np.broadcast_to(g * cast(-1.0) * (1.0 / d.size), d.shape)
+        accumulate(p, (-(gs * omt / omp) + gs * t / pc) * inside)
 
-    return record("mean", (x,), out, adjoint)
+    return record("bce", (p,), out, adjoint)
+
+
+def dice(p: Tensor, target, smooth: float) -> Tensor:
+    """Soft dice loss 1 - (2*sum(p*t) + s) / (sum(p) + sum(t) + s).
+
+    The adjoint adds the gradient through the overlap to the one
+    through sum(p), in that order; training's loss logs depend on it.
+    """
+    target = as_tensor(target, dtype=p.dtype)
+    same_shape("dice", p, target)
+    d, t = p.data, target.data
+    cast = d.dtype.type
+    num = (d * t).sum() * cast(2.0) + cast(smooth)
+    den = d.sum() + t.sum() + cast(smooth)
+    out = Tensor(cast(1.0) - num / den)
+
+    def adjoint(g):
+        gq = -g
+        gnum = gq / den
+        gden = -gq * num / (den * den)
+        accumulate(p, gden + gnum * cast(2.0) * t)
+
+    return record("dice", (p,), out, adjoint)

@@ -97,8 +97,8 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    # Small amount of operator sugar for tests and losses; every dunder
-    # routes through a recorded primitive in ops.py.
+    # Small amount of operator sugar for tests; every dunder routes
+    # through a recorded primitive in ops.py.
     def __add__(self, other):
         from . import ops
         return ops.add(self, other)
@@ -106,10 +106,6 @@ class Tensor:
     def __radd__(self, other):
         from . import ops
         return ops.add(self, other)
-
-    def __sub__(self, other):
-        from . import ops
-        return ops.sub(self, other)
 
     def __mul__(self, other):
         from . import ops
@@ -119,10 +115,6 @@ class Tensor:
         from . import ops
         return ops.mul(self, other)
 
-    def __truediv__(self, other):
-        from . import ops
-        return ops.div(self, other)
-
     def __neg__(self):
         from . import ops
         return ops.mul(self, -1.0)
@@ -130,10 +122,6 @@ class Tensor:
     def sum(self) -> "Tensor":
         from . import ops
         return ops.sum_all(self)
-
-    def mean(self) -> "Tensor":
-        from . import ops
-        return ops.mean_all(self)
 
     def __repr__(self) -> str:
         flags = []
@@ -248,7 +236,7 @@ def record_length() -> int:
 
 @contextmanager
 def collect_kinks():
-    """Collect kink signatures (relu signs, clamp masks) during forwards.
+    """Collect kink signatures (relu signs, bce clip masks) in forwards.
 
     Used by the gradient checker to detect evaluations whose perturbation
     crosses a non-differentiable point.  Yields a list of

@@ -14,6 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .autodiff import GradCheckReport, gradcheck, ops, projected_sum
+from .errors import ArcdError
 from .loss import total_loss
 from .network import (AblationConfig, ChangeDetector, GatedFusion,
                       ReviewBlock, TemporalDifference, UncertaintyBranch)
@@ -120,6 +121,19 @@ def _full_network_case(seed):
                      params=params, max_checks=3, kink_margin=0.0)
 
 
+def _soft_target(seed):
+    rng = np.random.default_rng(seed + 0x5EED)
+    return rng.uniform(0.0, 1.0, (2, 1, 4, 4))
+
+
+def _bce_case(seed):
+    # Bounds at 0.2 and 0.8 clip part of the sigmoid's range, so the
+    # check covers both the clipped (zero-gradient) and the free values.
+    return gradcheck(
+        lambda x: ops.bce(ops.sigmoid(x), _soft_target(seed), 0.2, 0.8),
+        [(2, 1, 4, 4)], seed)
+
+
 def _loss_case(seed):
     # Boundary supervision makes the uncertainty target a pure constant of
     # the ground truth, so the full objective is finite-difference exact.
@@ -159,7 +173,7 @@ def build_suite() -> list[SuiteCase]:
         SuiteCase("elementwise_chain", 1e-4, lambda s: gradcheck(
             lambda a, b: projected_sum(
                 ops.mul(ops.relu(ops.add(a, b)),
-                        ops.one_minus(ops.sub(a, b))), s),
+                        ops.one_minus(ops.add(a, ops.mul(b, -1.0)))), s),
             [(3, 5), (3, 5)], s)),
         SuiteCase("sigmoid_chain", 1e-6, lambda s: gradcheck(
             lambda x: projected_sum(ops.sigmoid(ops.sigmoid(x)), s),
@@ -170,22 +184,20 @@ def build_suite() -> list[SuiteCase]:
         SuiteCase("global_avg_pool", 1e-4, lambda s: gradcheck(
             lambda x: projected_sum(ops.global_avg_pool(x), s),
             [(2, 5, 4, 4)], s)),
-        SuiteCase("matvec", 1e-4, lambda s: gradcheck(
-            lambda x, w, b: projected_sum(ops.matvec(x, w, b), s),
-            [(3, 4), (5, 4), (5,)], s)),
-        SuiteCase("scale_channels", 1e-4, lambda s: gradcheck(
-            lambda x, v: projected_sum(
-                ops.scale_channels(x, ops.sigmoid(v)), s),
-            [(2, 3, 4, 4), (2, 3)], s)),
-        SuiteCase("scale_map", 1e-4, lambda s: gradcheck(
-            lambda x, m: projected_sum(ops.scale_map(x, ops.sigmoid(m)), s),
-            [(2, 3, 4, 4), (2, 1, 4, 4)], s)),
+        SuiteCase("mul_broadcast", 1e-4, lambda s: gradcheck(
+            lambda x, v, m: projected_sum(ops.add(
+                ops.mul(x, ops.sigmoid(v)), ops.mul(x, ops.sigmoid(m))), s),
+            [(2, 3, 4, 4), (2, 3, 1, 1), (2, 1, 4, 4)], s)),
         SuiteCase("concat", 1e-4, lambda s: gradcheck(
             lambda a, b: projected_sum(ops.concat([a, b], axis=1), s),
             [(2, 3, 4, 4), (2, 2, 4, 4)], s)),
         SuiteCase("narrow", 1e-4, lambda s: gradcheck(
             lambda x: projected_sum(ops.narrow(x, 1, 1, 3), s),
             [(2, 4, 3, 3)], s)),
+        SuiteCase("bce", 1e-4, _bce_case),
+        SuiteCase("dice", 1e-4, lambda s: gradcheck(
+            lambda x: ops.dice(ops.sigmoid(x), _soft_target(s), 1.0),
+            [(2, 1, 4, 4)], s)),
         SuiteCase("loss_total", 1e-4, _loss_case),
         SuiteCase("fam_block", 1e-3, _module_case(
             _fam, [(1, 6, 4, 4), (1, 4, 8, 8)])),
@@ -203,10 +215,20 @@ def build_suite() -> list[SuiteCase]:
 
 def run_suite(seed: int = 0, only: Optional[list[str]] = None,
               out=None) -> bool:
-    """Run the suite, print one line per case, return overall pass/fail."""
+    """Run the suite, print one line per case, return overall pass/fail.
+
+    ``only`` names the cases to run; a name that matches no case raises
+    ArcdError before any case runs.
+    """
     out = out or sys.stdout
+    cases = build_suite()
+    names = [case.name for case in cases]
+    unknown = [name for name in only or () if name not in names]
+    if unknown:
+        raise ArcdError(f"unknown gradcheck case(s) {', '.join(unknown)} "
+                        f"(valid: {', '.join(names)})")
     all_ok = True
-    for case in build_suite():
+    for case in cases:
         if only and case.name not in only:
             continue
         report = case.run(seed)

@@ -54,20 +54,14 @@ def bce(p: Tensor, g) -> Tensor:
     """Mean binary cross-entropy; probabilities clamped away from {0,1}."""
     g = as_tensor(g, dtype=p.dtype)
     _check_pair("bce", p, g)
-    pc = ops.clamp(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    pos = ops.mul(g, ops.log(pc))
-    neg = ops.mul(ops.one_minus(g), ops.log(ops.one_minus(pc)))
-    return ops.mul(ops.mean_all(ops.add(pos, neg)), -1.0)
+    return ops.bce(p, g, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
 def dice(p: Tensor, g, smooth: float = DICE_SMOOTH) -> Tensor:
     """Soft dice loss 1 - (2*overlap + s) / (sum(p) + sum(g) + s)."""
     g = as_tensor(g, dtype=p.dtype)
     _check_pair("dice", p, g)
-    overlap = ops.sum_all(ops.mul(p, g))
-    denom = ops.add(ops.add(ops.sum_all(p), ops.sum_all(g)), smooth)
-    return ops.one_minus(ops.div(ops.add(ops.mul(overlap, 2.0), smooth),
-                                 denom))
+    return ops.dice(p, g, smooth)
 
 
 def uncertainty_target(p_change, g_change) -> Tensor:

@@ -328,10 +328,10 @@ class ReviewBlock(Module):
 
         if self.use_conflict:
             coa = conflict_attention(p_low, p_up)
-            k1 = ops.add(k1, ops.scale_map(k1, coa))
+            k1 = ops.add(k1, ops.mul(k1, coa))
         if self.use_reverse:
             rea = reverse_attention(p_up)
-            k2 = ops.add(k2, ops.scale_map(k2, rea))
+            k2 = ops.add(k2, ops.mul(k2, rea))
 
         b1 = self.conv1(self.attn1(k1))
         b2 = self.conv2(self.attn2(k2))

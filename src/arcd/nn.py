@@ -156,6 +156,12 @@ class BatchNorm(Module):
 
 
 class Linear(Module):
+    """Fully connected layer on a pooled [N, in, 1, 1] map.
+
+    It runs as a 1x1 convolution; the weight stays stored as
+    [out, in], the layout checkpoints hold.
+    """
+
     def __init__(self, in_features: int, out_features: int, *,
                  rng: np.random.Generator, dtype=np.float32):
         super().__init__()
@@ -164,7 +170,8 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features, dtype=dtype), decay=False)
 
     def forward(self, x: Tensor) -> Tensor:
-        return ops.matvec(x, self.weight, self.bias)
+        weight = ops.reshape(self.weight, self.weight.shape + (1, 1))
+        return ops.conv2d(x, weight, self.bias)
 
 
 class ConvBlock(Module):
@@ -183,7 +190,9 @@ class ConvBlock(Module):
 
 
 class SqueezeExcite(Module):
-    """Channel attention: global pool, bottleneck, sigmoid gate."""
+    """Channel attention (Hu et al. 2018): global pool to [N, C, 1, 1],
+    a bottleneck of two 1x1 layers, and a sigmoid gate that scales each
+    channel."""
 
     def __init__(self, channels: int, *, reduction: int = 4,
                  rng: np.random.Generator, dtype=np.float32):
@@ -196,4 +205,4 @@ class SqueezeExcite(Module):
         s = ops.global_avg_pool(x)
         s = ops.relu(self.fc1(s))
         s = ops.sigmoid(self.fc2(s))
-        return ops.scale_channels(x, s)
+        return ops.mul(x, s)

@@ -235,9 +235,19 @@ class TestEval:
 class TestGradcheckCommand:
     def test_subset_passes(self, capsys):
         assert run_cli("gradcheck", "--seed", "0",
-                       "--only", "conv2d,sigmoid_chain,matvec") == 0
+                       "--only", "conv2d,sigmoid_chain,mul_broadcast") == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
+
+    def test_unknown_case_is_an_error(self, capsys):
+        # A stale name must not pass by running nothing.
+        assert run_cli("gradcheck", "--only", "conv2d,bogus_case") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "bogus_case" in err[0]
+        assert "conv2d" in err[0] and "mul_broadcast" in err[0]
 
 
 class TestAblate:

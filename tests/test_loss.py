@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from arcd.autodiff import Tensor, ops
+from arcd.autodiff import Tensor, backward, collect_kinks, ops
 from arcd.loss import (bce, boundary_target, dice, total_loss,
                        uncertainty_target)
 from arcd.network import AblationConfig
@@ -72,6 +72,73 @@ class TestDice:
             g = (rng.uniform(size=(5, 5)) < 0.5).astype(float)
             v = dice(tmap(p), tmap(g)).item()
             assert 0.0 <= v <= 1.0
+
+
+def composed_bce(p, g, lo, hi):
+    """Reference: bce and its gradient as direct float64 formulas."""
+    pc = np.clip(p, lo, hi)
+    value = -np.mean(g * np.log(pc) + (1 - g) * np.log(1 - pc))
+    grad = np.where((p > lo) & (p < hi), (pc - g) / (pc * (1 - pc)), 0.0)
+    return value, grad / p.size
+
+
+def composed_dice(p, g, smooth):
+    """Reference: dice and its gradient as direct float64 formulas."""
+    num = 2 * np.sum(p * g) + smooth
+    den = np.sum(p) + np.sum(g) + smooth
+    return 1 - num / den, (num - 2 * g * den) / den ** 2
+
+
+class TestFusedLosses:
+    LO, HI = 1e-7, 1 - 1e-7
+
+    def _probs(self):
+        # Random interior values plus values at and beyond both bounds.
+        rng = np.random.default_rng(9)
+        edge = [-0.5, 0.0, 1e-9, self.LO, self.HI, 1 - 1e-9, 1.0, 1.5]
+        p = np.concatenate([rng.uniform(size=56), edge]).reshape(1, 1, 8, 8)
+        soft = rng.uniform(size=p.shape)
+        binary = (rng.uniform(size=p.shape) < 0.5).astype(float)
+        return p, (soft, binary)
+
+    @staticmethod
+    def _fused(op, p, *args):
+        x = Tensor(p, requires_grad=True)
+        loss = op(x, *args)
+        backward(loss)
+        return loss.item(), x.grad
+
+    def test_bce_matches_composed_formula(self):
+        p, targets = self._probs()
+        for g in targets:
+            value, grad = self._fused(ops.bce, p, g, self.LO, self.HI)
+            want_value, want_grad = composed_bce(p, g, self.LO, self.HI)
+            assert value == pytest.approx(want_value, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(grad, want_grad, rtol=1e-12,
+                                       atol=1e-12)
+
+    def test_dice_matches_composed_formula(self):
+        p, targets = self._probs()
+        for g in targets:
+            value, grad = self._fused(ops.dice, p, g, 1.0)
+            want_value, want_grad = composed_dice(p, g, 1.0)
+            assert value == pytest.approx(want_value, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(grad, want_grad, rtol=1e-12,
+                                       atol=1e-12)
+
+    def test_bce_records_its_clamp_kink(self):
+        p = np.array([0.07, 0.3, 0.95, 0.5])
+        with collect_kinks() as sink:
+            ops.bce(Tensor(p), np.zeros(4), 0.1, 0.9)
+        (pattern, margin), = sink
+        assert np.array_equal(pattern, [False, True, False, True])
+        assert margin == pytest.approx(0.03, rel=1e-12)
+
+    def test_target_is_a_constant(self):
+        p = Tensor(np.full((2, 2), 0.4), requires_grad=True)
+        g = Tensor(np.eye(2), requires_grad=True)
+        backward(ops.add(ops.bce(p, g, self.LO, self.HI), ops.dice(p, g, 1.0)))
+        assert p.grad is not None and g.grad is None
 
 
 class TestUncertaintyTarget:

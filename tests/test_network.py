@@ -198,9 +198,9 @@ class TestReviewBlock:
         k1, k2, k3 = block.trans1(x), block.trans2(x), block.trans3(x)
         if block.use_conflict:
             coa = conflict_attention(p_low, p_up)
-            k1 = ops.add(k1, ops.scale_map(k1, coa))
+            k1 = ops.add(k1, ops.mul(k1, coa))
         if block.use_reverse:
-            k2 = ops.add(k2, ops.scale_map(k2, reverse_attention(p_up)))
+            k2 = ops.add(k2, ops.mul(k2, reverse_attention(p_up)))
         b = ops.add(ops.add(block.conv1(block.attn1(k1)),
                             block.conv2(block.attn2(k2))),
                     block.conv3(block.attn3(k3)))

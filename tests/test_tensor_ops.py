@@ -305,7 +305,7 @@ class TestElementwise:
     def test_mismatched_shapes_rejected(self):
         a = Tensor(np.zeros((2, 3)))
         b = Tensor(np.zeros((3, 2)))
-        for op in (ops.add, ops.sub, ops.mul, ops.div):
+        for op in (ops.add, ops.mul):
             with pytest.raises(ShapeError):
                 op(a, b)
 
@@ -315,17 +315,32 @@ class TestElementwise:
         b = Tensor(np.zeros((3,)))
         with pytest.raises(ShapeError):
             ops.add(a, b)
+        # mul broadcasts only a same-rank second operand, and only along
+        # its size-1 axes; add broadcasts nothing.
+        for x, y in ((a, b), (Tensor(np.zeros((2, 1))), a),
+                     (a, Tensor(np.zeros((2, 2))))):
+            with pytest.raises(ShapeError):
+                ops.mul(x, y)
+        with pytest.raises(ShapeError):
+            ops.add(a, Tensor(np.zeros((2, 1))))
 
     def test_scalar_operands(self):
         a = Tensor(np.array([1.0, 2.0]))
         assert np.allclose(ops.add(a, 1.5).data, [2.5, 3.5])
-        assert np.allclose(ops.sub(1.0, a).data, [0.0, -1.0])
+        assert np.allclose(ops.one_minus(a).data, [0.0, -1.0])
         assert np.allclose(ops.mul(a, -2.0).data, [-2.0, -4.0])
-        assert np.allclose(ops.div(a, 2.0).data, [0.5, 1.0])
+        assert np.allclose(ops.mul(2.0, a).data, [2.0, 4.0])
 
     def test_clamp(self):
-        y = ops.clamp(Tensor(np.array([-1.0, 0.5, 2.0])), 0.0, 1.0)
-        assert (y.data == [0.0, 0.5, 1.0]).all()
+        # bce clips p into [lo, hi]; no gradient reaches a clipped value.
+        p = Tensor(np.array([-1.0, 0.1, 0.5, 0.9, 2.0]), requires_grad=True)
+        t = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
+        y = ops.bce(p, t, 0.1, 0.9)
+        pc = np.array([0.1, 0.1, 0.5, 0.9, 0.9])
+        want = -np.mean(t * np.log(pc) + (1 - t) * np.log(1 - pc))
+        assert y.item() == pytest.approx(want, rel=1e-15)
+        backward(y)
+        assert (p.grad[[0, 1, 3, 4]] == 0.0).all() and p.grad[2] != 0.0
 
     def test_narrow_is_a_view_with_checked_range(self):
         x = Tensor(np.arange(24.0).reshape(2, 3, 4))
@@ -354,24 +369,35 @@ class TestElementwise:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((2, 3, 4, 4))
         y = ops.global_avg_pool(Tensor(x))
-        assert np.allclose(y.data, x.mean(axis=(2, 3)))
+        assert y.shape == (2, 3, 1, 1)
+        assert np.allclose(y.data, x.mean(axis=(2, 3), keepdims=True))
 
     def test_matvec_matches_numpy(self):
+        # nn.Linear is a matrix-vector product run as a 1x1 convolution.
+        from arcd.nn import Linear
         rng = np.random.default_rng(6)
         x = rng.standard_normal((3, 4))
-        w = rng.standard_normal((5, 4))
-        b = rng.standard_normal(5)
-        y = ops.matvec(Tensor(x), Tensor(w), Tensor(b))
-        assert np.allclose(y.data, x @ w.T + b)
+        layer = Linear(4, 5, rng=rng, dtype=np.float64)
+        layer.bias.data[:] = rng.standard_normal(5)
+        y = layer(Tensor(x[:, :, None, None]))
+        assert y.shape == (3, 5, 1, 1)
+        assert np.allclose(y.data[:, :, 0, 0],
+                           x @ layer.weight.data.T + layer.bias.data)
 
     def test_scale_ops(self):
+        # The channel gate [N,C,1,1] and the attention map [N,1,H,W] are
+        # both mul broadcasts; each gradient sums over the broadcast axes.
         rng = np.random.default_rng(7)
-        x = rng.standard_normal((2, 3, 4, 4))
-        s = rng.standard_normal((2, 3))
-        m = rng.standard_normal((2, 1, 4, 4))
-        assert np.allclose(ops.scale_channels(Tensor(x), Tensor(s)).data,
-                           x * s[:, :, None, None])
-        assert np.allclose(ops.scale_map(Tensor(x), Tensor(m)).data, x * m)
+        x = Tensor(rng.standard_normal((2, 3, 4, 4)), requires_grad=True)
+        s = Tensor(rng.standard_normal((2, 3, 1, 1)), requires_grad=True)
+        m = Tensor(rng.standard_normal((2, 1, 4, 4)), requires_grad=True)
+        assert np.array_equal(ops.mul(x, s).data, x.data * s.data)
+        assert np.array_equal(ops.mul(x, m).data, x.data * m.data)
+        backward(ops.sum_all(ops.add(ops.mul(x, s), ops.mul(x, m))))
+        assert s.grad.shape == s.shape and m.grad.shape == m.shape
+        assert np.allclose(s.grad, x.data.sum(axis=(2, 3), keepdims=True))
+        assert np.allclose(m.grad, x.data.sum(axis=1, keepdims=True))
+        assert np.allclose(x.grad, s.data + m.data)
 
     def test_stack_time(self):
         a = Tensor(np.ones((1, 2, 3, 3)))

@@ -258,6 +258,32 @@ class TestTrainLoop:
             assert p.grad is not None, name
             assert np.isfinite(p.grad).all(), name
 
+    def test_step_record_length_is_bounded(self):
+        # Each supervised prediction adds one bce and one dice entry; the
+        # uncertainty map one bce; adds sum the terms.  A loss rebuilt
+        # from elementwise primitives would exceed both bounds.
+        from arcd.autodiff.tensor import clear_record, record_length
+        from arcd.loss import total_loss
+        rng = np.random.default_rng(24)
+        t1 = Tensor(rng.uniform(size=(4, 3, 64, 64)).astype(np.float32))
+        t2 = Tensor(rng.uniform(size=(4, 3, 64, 64)).astype(np.float32))
+        g = (rng.uniform(size=(4, 1, 64, 64)) < 0.3).astype(np.float32)
+        model = ChangeDetector(seed=0)
+        clear_record()
+        try:
+            step_loss(model, t1, t2, g)
+            assert record_length() <= 450
+            clear_record()
+            bundle = model(t1, t2)
+            sides = bundle.side_probs()
+            before = record_length()
+            total_loss(sides, bundle.change, bundle.uncertainty, g, model.cfg)
+            supervised = len(sides) + 1
+            adds = 2 * (supervised - 1) + 2
+            assert record_length() - before <= 2 * supervised + 1 + adds
+        finally:
+            clear_record()
+
     def test_ablated_parameters_do_not_exist(self):
         model = ChangeDetector(variant_config("wo-oue"), seed=0)
         names = [n for n, _ in model.named_parameters()]
