@@ -188,6 +188,12 @@ def build_suite() -> list[SuiteCase]:
             lambda x, v, m: projected_sum(ops.add(
                 ops.mul(x, ops.sigmoid(v)), ops.mul(x, ops.sigmoid(m))), s),
             [(2, 3, 4, 4), (2, 3, 1, 1), (2, 1, 4, 4)], s)),
+        SuiteCase("scale_channels", 1e-4, lambda s: gradcheck(
+            lambda x, v: projected_sum(ops.mul(x, ops.sigmoid(v)), s),
+            [(2, 3, 4, 4), (2, 3, 1, 1)], s)),
+        SuiteCase("scale_map", 1e-4, lambda s: gradcheck(
+            lambda x, m: projected_sum(ops.mul(x, ops.sigmoid(m)), s),
+            [(2, 3, 4, 4), (2, 1, 4, 4)], s)),
         SuiteCase("concat", 1e-4, lambda s: gradcheck(
             lambda a, b: projected_sum(ops.concat([a, b], axis=1), s),
             [(2, 3, 4, 4), (2, 2, 4, 4)], s)),
