@@ -11,7 +11,13 @@ the stride phases of the zero-padded input, with no patch matrix; its
 adjoint rebuilds the phases instead of keeping them alive until backward.
 ``conv3d`` accepts only a kernel spanning the whole time axis (kt == T,
 no time padding, equal spatial padding), the one case the network uses,
-which is ``conv2d`` with time folded into channels.
+which is ``conv2d`` with time folded into channels.  At batch size 1 a
+convolution's output is a strided view of the top-left corner of its
+output grid rather than a cropped copy.
+
+An output that will not be recorded keeps no buffer for an adjoint:
+``batch_norm`` then finishes it in the buffer that holds the normalized
+input, and ``sigmoid`` reuses its intermediates, with the same values.
 
 The two training losses, ``bce`` and ``dice``, are single primitives
 with closed-form adjoints; their target is a constant.
@@ -24,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .tensor import (Tensor, ShapeError, accumulate, as_tensor, kinks_active,
-                     note_kink, record, same_shape)
+                     note_kink, record, same_shape, will_record)
 
 __all__ = [
     "add", "mul", "one_minus", "relu", "sigmoid", "concat", "narrow",
@@ -110,10 +116,15 @@ def relu(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     """Logistic function, overflow-safe for large |x|."""
-    d = x.data
-    e = np.exp(-np.abs(d))
+    d = np.atleast_1d(x.data)
+    e = np.abs(d)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
     den = 1.0 + e
-    y = np.where(d >= 0, 1.0 / den, e / den)
+    y = 1.0 / den
+    np.divide(e, den, out=e)
+    np.copyto(y, e, where=d < 0)
+    y = y.reshape(x.shape)
     out = Tensor(y)
     return record("sigmoid", (x,), out,
                   lambda g: accumulate(x, g * y * (1.0 - y)))
@@ -267,7 +278,12 @@ def _conv(name: str, x: Tensor, weight: Tensor, bias, s: int,
             else:
                 np.matmul(wt, piece, out=g)
     del xq
-    out_d = _unphase(grid[None], 1, 0, n, ho, wo, hq, wq)
+    if n == 1:
+        # The output is a view of the grid's top-left corner; the grid
+        # is this output's own buffer, so the bias may add in place.
+        out_d = grid.reshape(1, k, hq, wq)[:, :, :ho, :wo]
+    else:
+        out_d = _unphase(grid[None], 1, 0, n, ho, wo, hq, wq)
     if bias is not None:
         out_d += bias.data[:, None, None]
     out = Tensor(out_d.reshape((n, k) + (1,) * (x.ndim - 4) + (ho, wo)))
@@ -398,8 +414,16 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         var = running_var.astype(x.dtype, copy=False)
 
     istd = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
-    xhat = (x.data - mu.reshape(bshape)) * istd.reshape(bshape)
-    out = Tensor(gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape))
+    xhat = x.data - mu.reshape(bshape)
+    xhat *= istd.reshape(bshape)
+    if will_record((x, gamma, beta)):
+        y = gamma.data.reshape(bshape) * xhat
+    else:
+        # Nothing keeps xhat for an adjoint: finish the output in it.
+        y, xhat = xhat, None
+        y *= gamma.data.reshape(bshape)
+    y += beta.data.reshape(bshape)
+    out = Tensor(y)
 
     def adjoint(g):
         accumulate(beta, g.sum(axis=axes))

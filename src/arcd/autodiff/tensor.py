@@ -6,6 +6,12 @@ adjoints in exact reverse execution order and consumes the record, so a
 record is used at most once; each entry, its closure's activations and
 its output's gradient are released as soon as its adjoint has run.
 Distinct threads own distinct records and never share mutable state.
+
+An output that will not be recorded (see :func:`will_record`) has no
+adjoint to feed, so a primitive may build it in place in a buffer that
+only the recorded path would have kept; the values are the same either
+way.  An output's array may be a strided view into a larger buffer that
+it alone holds, such as a convolution's output grid at batch size 1.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ __all__ = [
     "no_grad",
     "grad_enabled",
     "record",
+    "will_record",
     "collect_kinks",
     "ShapeError",
 ]
@@ -163,11 +170,16 @@ def no_grad():
         _STATE.grad_enabled = prev
 
 
+def will_record(inputs: Sequence[Tensor]) -> bool:
+    """Whether :func:`record` would register an output of ``inputs``."""
+    return _STATE.grad_enabled and any(
+        isinstance(t, Tensor) and t.requires_grad for t in inputs)
+
+
 def record(op: str, inputs: Sequence[Tensor], output: Tensor,
            adjoint: Callable[[np.ndarray], None]) -> Tensor:
     """Register ``output`` on the active record if any input needs grads."""
-    if _STATE.grad_enabled and any(
-            isinstance(t, Tensor) and t.requires_grad for t in inputs):
+    if will_record(inputs):
         output.requires_grad = True
         _STATE.entries.append(_RecordEntry(op, tuple(inputs), output, adjoint))
     return output

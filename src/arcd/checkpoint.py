@@ -5,7 +5,8 @@ little-endian name length, UTF-8 parameter name, ARCT tensor record) in
 the model's stable parameter order, followed by one trailing ARCT record
 per batch-norm layer holding its running statistics stacked as [2, C]
 (mean row, then variance row).  Loading validates names and shapes
-against the target model and reports the first mismatch; a file that
+against the target model, and rejects non-finite values and negative
+running variances; it reports the first bad record, and a file that
 fails any check leaves the model untouched.
 """
 
@@ -83,6 +84,9 @@ def load(model: Module, path) -> None:
                 raise CheckpointError(
                     f"{path}: first mismatched parameter '{name}': shape "
                     f"{arr.shape} in file, {p.shape} in model")
+            if not np.isfinite(arr).all():
+                raise CheckpointError(
+                    f"{path}: parameter '{name}' has non-finite values")
             arrays.append(arr)
         for name, bn in bns:
             try:
@@ -95,6 +99,13 @@ def load(model: Module, path) -> None:
                 raise CheckpointError(
                     f"{path}: running statistics for '{name}' have shape "
                     f"{record.shape}, expected {want}")
+            if not np.isfinite(record).all():
+                raise CheckpointError(
+                    f"{path}: running statistics for '{name}' have "
+                    f"non-finite values")
+            if (record[1] < 0).any():
+                raise CheckpointError(
+                    f"{path}: running variance for '{name}' is negative")
             stats.append(record)
         if f.read(1):
             raise CheckpointError(f"{path}: trailing bytes after the last "

@@ -102,7 +102,9 @@ def write_mask(path, mask: np.ndarray) -> None:
 
 def read_gray(path) -> np.ndarray:
     """PGM file to float [H, W] values in [0, 1]."""
-    return _read(path, b"P5", 1).astype(np.float64) / 255.0
+    values = _read(path, b"P5", 1).astype(np.float64)
+    values /= 255.0
+    return values
 
 
 def write_gray(path, values: np.ndarray) -> None:
@@ -118,7 +120,9 @@ def write_gray(path, values: np.ndarray) -> None:
 def read_image(path) -> np.ndarray:
     """PPM file to float [3, H, W] values in [0, 1]."""
     raw = _read(path, b"P6", 3)
-    return raw.transpose(2, 0, 1).astype(np.float64) / 255.0
+    image = raw.transpose(2, 0, 1).astype(np.float64)
+    image /= 255.0
+    return image
 
 
 def write_image(path, image: np.ndarray) -> None:

@@ -16,6 +16,10 @@ stride; only the training loss brings those to full resolution.
 
 Every difference path is symmetric under swapping the two input epochs,
 so the predicted change map is invariant to temporal order.
+
+Forwards drop each intermediate map once its last reader has run, so an
+eval forward under ``no_grad`` holds only live activations; in training
+the operation record keeps what the adjoints need either way.
 """
 
 from __future__ import annotations
@@ -124,7 +128,10 @@ class GatedFusion(Module):
         if self.gated:
             weight = ops.sigmoid(self.gate(up))
             low = ops.mul(low, weight)
-        return self.fuse(ops.concat([up, low], axis=1))
+            del weight
+        cat = ops.concat([up, low], axis=1)
+        del up, low
+        return self.fuse(cat)
 
 
 class TemporalDifference(Module):
@@ -251,6 +258,7 @@ class UncertaintyBranch(Module):
         t1 = self.texture(img1)
         t2 = self.texture(img2)
         dt = self.diff(t1, t2)
+        del t1, t2
         if dt.shape[2:] != d2.shape[2:]:
             raise ShapeError(f"uncertainty branch: texture features "
                              f"{dt.shape} and change features {d2.shape} "
@@ -329,16 +337,24 @@ class ReviewBlock(Module):
         if self.use_conflict:
             coa = conflict_attention(p_low, p_up)
             k1 = ops.add(k1, ops.mul(k1, coa))
+            del coa
         if self.use_reverse:
             rea = reverse_attention(p_up)
             k2 = ops.add(k2, ops.mul(k2, rea))
+            del rea
+        del p_up
 
-        b1 = self.conv1(self.attn1(k1))
-        b2 = self.conv2(self.attn2(k2))
-        b3 = self.conv3(self.attn3(k3))
+        # (b1 + b2) + b3, summed as the branches are produced so that
+        # each branch is freed before the next one runs.
+        branches = self.conv1(self.attn1(k1))
+        del k1
+        branches = ops.add(branches, self.conv2(self.attn2(k2)))
+        del k2
+        branches = ops.add(branches, self.conv3(self.attn3(k3)))
+        del k3
 
-        refined = ops.add(self.fuse(ops.concat(
-            [p_low, ops.add(ops.add(b1, b2), b3)], axis=1)), d_low)
+        refined = ops.add(self.fuse(ops.concat([p_low, branches], axis=1)),
+                          d_low)
         return refined, self.head(refined)
 
 
@@ -416,8 +432,11 @@ class ChangeDetector(Module):
         feats1 = self.encoder(img1)
         feats2 = self.encoder(img2)
         dec1 = self.decoder(feats1)
+        del feats1
         dec2 = self.decoder(feats2)
+        del feats2
         diffs = [diff(a, b) for diff, a, b in zip(self.diffs, dec1, dec2)]
+        del dec1, dec2
         logits = [head(d) for head, d in zip(self.level_heads, diffs)]
         probs = [ops.sigmoid(lg) for lg in logits]
 
