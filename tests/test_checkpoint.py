@@ -144,6 +144,36 @@ class TestMismatch:
         assert len(after) == len(before)
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
+    BAD_VALUES = {
+        "nan-weight": r"parameter 'final_head\.weight' has non-finite",
+        # Two bad records: the first one in file order is named.
+        "two-bad-weights": r"parameter 'encoder\.stage2\.0\.conv\.weight' "
+                           r"has non-finite",
+        "inf-mean": r"running statistics for 'diffs\.1\.bn' have non-finite",
+        "negative-variance": r"running variance for 'encoder\.stage2\.0\.bn' "
+                             r"is negative",
+    }
+
+    @pytest.mark.parametrize("damage", list(BAD_VALUES))
+    def test_bad_values_rejected_and_model_unchanged(self, tmp_path, damage):
+        source = _trained_ish_model(0)
+        if damage in ("nan-weight", "two-bad-weights"):
+            source.final_head.weight.data[0, 0] = np.nan
+        if damage == "two-bad-weights":
+            source.encoder.stage2[0].conv.weight.data[0, 0, 0, 0] = -np.inf
+        elif damage == "inf-mean":
+            source.diffs[1].bn.running_mean[3] = np.inf
+        elif damage == "negative-variance":
+            source.encoder.stage2[0].bn.running_var[1] = -1.0
+        path = tmp_path / "m.ckpt"
+        checkpoint.save(source, path)
+        target = ChangeDetector(seed=1, dtype=np.float32)
+        before = _state(target)
+        with pytest.raises(CheckpointError, match=self.BAD_VALUES[damage]):
+            checkpoint.load(target, path)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(before, _state(target)))
+
     def test_non_utf8_name_is_a_checkpoint_error(self, tmp_path):
         path = tmp_path / "m.ckpt"
         checkpoint.save(ChangeDetector(seed=0), path)

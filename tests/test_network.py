@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from arcd.autodiff import ShapeError, Tensor, no_grad, ops
+from arcd.autodiff import ShapeError, Tensor, clear_record, no_grad, ops
 from arcd.network import (STRIDES, VARIANTS, ChangeDetector, Encoder,
                           GatedFusion, ReviewBlock, TemporalDifference,
                           conflict_attention, reverse_attention,
@@ -339,6 +339,46 @@ class TestFullNetwork:
             a = model(t1, t2)
             b = model(t2, t1)
         assert np.abs(a.change.data - b.change.data).max() < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_grad_eval_forward_equals_recorded_eval_forward(self, dtype):
+        # Unrecorded ops finish in place and modules drop dead maps; the
+        # recorded forward keeps everything. Both must give the same bits.
+        model = ChangeDetector(seed=4, dtype=dtype)
+        rng = np.random.default_rng(24)
+        model(*rand_images(rng, n=2, dtype=dtype))   # moves running stats
+        clear_record()
+        assert not np.allclose(model.encoder.stage2[0].bn.running_mean, 0.0)
+        model.eval()
+        t1, t2 = rand_images(rng, dtype=dtype)
+        with no_grad():
+            lean = model(t1, t2)
+        recorded = model(t1, t2)
+        clear_record()
+
+        def maps(bundle):
+            return [bundle.change, bundle.uncertainty, bundle.features,
+                    *bundle.level_logits, *bundle.refined_logits]
+
+        for a, b in zip(maps(lean), maps(recorded)):
+            assert a.dtype == dtype
+            assert np.array_equal(a.data, b.data)
+
+    def test_eval_forward_peak_memory_256(self):
+        # Each map is freed after its last use; holding the dead ones
+        # peaked at 5.86 MB.
+        model = ChangeDetector(seed=0)
+        model.eval()
+        t1, t2 = rand_images(np.random.default_rng(0), size=256,
+                             dtype=np.float32)
+        tracemalloc.start()
+        try:
+            with no_grad():
+                model(t1, t2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.0e6
 
     def test_parameter_count_regression_guard(self):
         # Architecture wiring fingerprints at desk scale.

@@ -202,6 +202,44 @@ class TestConv3d:
             ops.conv3d(x, w, None, padding=padding)
 
 
+class TestSingleSampleConv:
+    """At N == 1 a conv output is a strided view of the conv's grid."""
+
+    @pytest.mark.parametrize("op,stride", [("conv2d", 1), ("conv2d", 2),
+                                           ("conv3d", 1)])
+    def test_matches_loop_oracle_through_batch_norm(self, op, stride):
+        rng = np.random.default_rng(30 + stride)
+        b = rng.standard_normal(4)
+        if op == "conv2d":
+            x = rng.standard_normal((1, 3, 7, 9))
+            w = rng.standard_normal((4, 3, 3, 3))
+            y = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride,
+                           padding=1)
+            want = naive_conv2d(x, w, b, stride, 1)
+        else:
+            x = rng.standard_normal((1, 3, 2, 7, 9))
+            w = rng.standard_normal((4, 3, 2, 3, 3))
+            y = ops.conv3d(Tensor(x), Tensor(w), Tensor(b), padding=(0, 1, 1))
+            want = naive_conv3d(x, w, b, (0, 1, 1))
+        assert y.shape == want.shape
+        assert np.abs(y.data - want).max() < 1e-12
+
+        gamma, beta = rng.standard_normal(4), rng.standard_normal(4)
+        axes = (0,) + tuple(range(2, want.ndim))
+        bshape = (1, 4) + (1,) * (want.ndim - 2)
+        for training in (False, True):
+            rm, rv = rng.standard_normal(4), rng.uniform(0.5, 2.0, 4)
+            with no_grad():
+                z = ops.batch_norm(y, Tensor(gamma), Tensor(beta), rm, rv,
+                                   training=training)
+            mu, var = ((want.mean(axis=axes), want.var(axis=axes))
+                       if training else (rm, rv))
+            ref = (gamma.reshape(bshape) * (want - mu.reshape(bshape))
+                   / np.sqrt(var.reshape(bshape) + 1e-5)
+                   + beta.reshape(bshape))
+            assert np.abs(z.data - ref).max() < 1e-12
+
+
 class TestBatchNorm:
     def _stats_identity_input(self, rng):
         # Per-channel mean 0, variance 1 by construction.
@@ -266,6 +304,25 @@ class TestBatchNorm:
         mu = x.data.mean(axis=(0, 2, 3))
         assert np.allclose(rm, 0.1 * mu)
 
+    @pytest.mark.parametrize("training", [False, True])
+    def test_unrecorded_output_is_the_recorded_one_in_a_new_buffer(
+            self, training):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal((2, 3, 4, 4)))
+        gamma = Tensor(rng.standard_normal(3), requires_grad=True)
+        beta = Tensor(rng.standard_normal(3), requires_grad=True)
+        rm, rv = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
+        before = x.data.copy()
+        with no_grad():
+            lean = ops.batch_norm(x, gamma, beta, rm.copy(), rv.copy(),
+                                  training=training)
+        recorded = ops.batch_norm(x, gamma, beta, rm.copy(), rv.copy(),
+                                  training=training)
+        clear_record()
+        assert np.array_equal(x.data, before)
+        assert not np.shares_memory(lean.data, x.data)
+        assert np.array_equal(lean.data, recorded.data)
+
     def test_single_value_per_channel_rejected(self):
         x = Tensor(np.zeros((1, 2, 1, 1)))
         with pytest.raises(ShapeError):
@@ -297,6 +354,17 @@ class TestElementwise:
     def test_sigmoid_non_finite_inputs(self):
         y = ops.sigmoid(Tensor(np.array([-np.inf, np.inf, np.nan]))).data
         assert y[0] == 0.0 and y[1] == 1.0 and np.isnan(y[2])
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3, 4)],
+                             ids=["0d", "1d", "3d"])
+    def test_sigmoid_leaves_input_alone(self, shape):
+        d = np.random.default_rng(5).standard_normal(shape) * 8.0
+        x = Tensor(d.copy())
+        with no_grad():
+            y = ops.sigmoid(x)
+        assert y.shape == shape
+        assert np.array_equal(x.data, d)
+        assert not np.shares_memory(y.data, x.data)
 
     def test_relu(self):
         y = ops.relu(Tensor(np.array([-2.0, 0.0, 3.0])))
