@@ -1,7 +1,7 @@
 """Central finite-difference verification of recorded gradients.
 
 The checker draws inputs from a seed, compares analytic gradients against
-(f(x+h) - f(x-h)) / 2h at 64-bit precision, and reports the worst
+(f(x+h) - f(x-h)) / 2h (h = 1e-5) at 64-bit precision, and reports the worst
 relative error per checked tensor.  Failures are report entries, never
 exceptions.
 
@@ -25,6 +25,7 @@ from .tensor import Tensor, backward, collect_kinks, no_grad
 
 __all__ = ["gradcheck", "GradCheckReport", "GradCheckEntry", "projected_sum"]
 
+_H = 1e-5
 # Relative error floor: guards the quotient for near-zero gradients, well
 # above the ~1e-9 absolute noise floor of 64-bit central differences.
 _REL_FLOOR = 1e-2
@@ -84,7 +85,6 @@ def gradcheck(build_loss: Callable[..., Tensor],
               seed: int = 0,
               *,
               params: Sequence[tuple[str, Tensor]] = (),
-              h: float = 1e-5,
               max_checks: int = 128,
               kink_margin: float = 1e-3,
               max_redraws: int = 50) -> GradCheckReport:
@@ -146,9 +146,9 @@ def gradcheck(build_loss: Callable[..., Tensor],
         while queue:
             i = queue.pop()
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + _H
             f_plus, sig_plus = eval_loss()
-            flat[i] = orig - h
+            flat[i] = orig - _H
             f_minus, sig_minus = eval_loss()
             flat[i] = orig
             if not _signatures_match(sig_plus, sig_minus):
@@ -158,7 +158,7 @@ def gradcheck(build_loss: Callable[..., Tensor],
                 if spare:
                     queue.append(spare.pop())
                 continue
-            numeric = (f_plus - f_minus) / (2.0 * h)
+            numeric = (f_plus - f_minus) / (2.0 * _H)
             a = float(analytic[i])
             rel = abs(a - numeric) / max(abs(a), abs(numeric), _REL_FLOOR)
             worst = max(worst, rel)

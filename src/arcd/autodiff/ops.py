@@ -377,15 +377,19 @@ def conv3d(x: Tensor, weight: Tensor, bias, padding=(0, 0, 0)) -> Tensor:
 # Batch normalization
 # ---------------------------------------------------------------------------
 
+# Weight of the newest batch in the running statistics.
+BN_MOMENTUM = 0.1
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool, momentum: float = 0.1,
-               eps: float = 1e-5) -> Tensor:
+               training: bool, eps: float = 1e-5) -> Tensor:
     """Per-channel normalization over [N, C, ...spatial] tensors.
 
     Training mode normalizes by the batch statistics and updates the
-    running estimates in place (exponential moving average, unbiased
-    variance); eval mode applies the running estimates as constants.
+    running estimates in place (exponential moving average with weight
+    ``BN_MOMENTUM``, unbiased variance); eval mode applies the running
+    estimates as constants.
     """
     if x.ndim < 2:
         raise ShapeError(f"batch_norm: input must be [N,C,...], got {x.shape}")
@@ -405,10 +409,10 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         var = x.data.var(axis=axes)
         from .tensor import grad_enabled
         if grad_enabled():
-            running_mean *= (1.0 - momentum)
-            running_mean += momentum * mu
-            running_var *= (1.0 - momentum)
-            running_var += momentum * var * (m / (m - 1))
+            running_mean *= (1.0 - BN_MOMENTUM)
+            running_mean += BN_MOMENTUM * mu
+            running_var *= (1.0 - BN_MOMENTUM)
+            running_var += BN_MOMENTUM * var * (m / (m - 1))
     else:
         mu = running_mean.astype(x.dtype, copy=False)
         var = running_var.astype(x.dtype, copy=False)

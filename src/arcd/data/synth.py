@@ -17,6 +17,8 @@ import numpy as np
 from ..errors import DataError
 
 BACKGROUND = 0.8
+# Object shapes; a scene draws each object's kind uniformly from these.
+KINDS = ("rectangle", "ellipse")
 
 
 @dataclass
@@ -60,7 +62,6 @@ class BiTemporalSample:
 class SyntheticSceneSpec:
     size: int = 64
     n_objects: tuple[int, int] = (2, 5)
-    kinds: tuple[str, ...] = ("rectangle", "ellipse")
     change_fraction: float = 0.5
     noise: float = 0.03
     seed: int = 0
@@ -70,9 +71,6 @@ class SyntheticSceneSpec:
             raise DataError(f"scene size {self.size} must be divisible by 32")
         if not 0.0 <= self.change_fraction <= 1.0:
             raise DataError("change_fraction must be in [0, 1]")
-        for kind in self.kinds:
-            if kind not in ("rectangle", "ellipse"):
-                raise DataError(f"unknown object kind {kind!r}")
 
 
 @dataclass
@@ -113,7 +111,7 @@ def _place_objects(rng: np.random.Generator,
         # Non-overlapping placement keeps occupancy-change equal to
         # appearance-change; give up on an object after a few tries.
         for _ in range(30):
-            kind = spec.kinds[int(rng.integers(len(spec.kinds)))]
+            kind = KINDS[int(rng.integers(len(KINDS)))]
             mask, top, left = _draw_footprint(rng, spec.size, kind)
             h, w = mask.shape
             # The box plus a one-pixel margin must be free.

@@ -68,7 +68,7 @@ def _se(rng):
 
 
 def _krm(rng):
-    block = ReviewBlock(4, 6, 4, use_conflict=True, use_reverse=True,
+    block = ReviewBlock(4, 6, use_conflict=True, use_reverse=True,
                         rng=rng, dtype=np.float64)
 
     def wrapped(d_low, d_high, logit_low, logit_high):

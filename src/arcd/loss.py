@@ -57,11 +57,12 @@ def bce(p: Tensor, g) -> Tensor:
     return ops.bce(p, g, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
-def dice(p: Tensor, g, smooth: float = DICE_SMOOTH) -> Tensor:
-    """Soft dice loss 1 - (2*overlap + s) / (sum(p) + sum(g) + s)."""
+def dice(p: Tensor, g) -> Tensor:
+    """Soft dice loss 1 - (2*overlap + s) / (sum(p) + sum(g) + s),
+    s = ``DICE_SMOOTH``."""
     g = as_tensor(g, dtype=p.dtype)
     _check_pair("dice", p, g)
-    return ops.dice(p, g, smooth)
+    return ops.dice(p, g, DICE_SMOOTH)
 
 
 def uncertainty_target(p_change, g_change) -> Tensor:

@@ -35,6 +35,8 @@ from .nn import (BatchNorm, Conv2d, Conv3d, ConvBlock, Module, ModuleList,
                  SqueezeExcite)
 
 STRIDES = (4, 8, 16, 32)
+CHANNELS = (16, 32, 64, 128)
+TEXTURE_CH = 16
 
 
 @dataclass(frozen=True)
@@ -144,8 +146,7 @@ class TemporalDifference(Module):
 
     def __init__(self, channels: int, *, rng, dtype=np.float32):
         super().__init__()
-        self.conv = Conv3d(channels, channels, (2, 3, 3),
-                           padding=(0, 1, 1), rng=rng, dtype=dtype)
+        self.conv = Conv3d(channels, channels, rng=rng, dtype=dtype)
         self.bn = BatchNorm(channels, dtype=dtype)
         self.proj = Conv2d(channels, channels, 1, rng=rng, dtype=dtype)
 
@@ -166,9 +167,9 @@ class Encoder(Module):
     """Shared four-stage backbone: stem at stride 4, then three stride-2
     stages, two conv blocks each."""
 
-    def __init__(self, channels=(16, 32, 64, 128), *, rng, dtype=np.float32):
+    def __init__(self, *, rng, dtype=np.float32):
         super().__init__()
-        c2, c3, c4, c5 = channels
+        c2, c3, c4, c5 = CHANNELS
         self.stage2 = ModuleList([
             ConvBlock(3, c2, stride=2, rng=rng, dtype=dtype),
             ConvBlock(c2, c2, stride=2, rng=rng, dtype=dtype),
@@ -203,10 +204,9 @@ class Encoder(Module):
 class Decoder(Module):
     """Top-down gated fusion turning encoder features into decoder maps."""
 
-    def __init__(self, channels=(16, 32, 64, 128), *, gated: bool, rng,
-                 dtype=np.float32):
+    def __init__(self, *, gated: bool, rng, dtype=np.float32):
         super().__init__()
-        c2, c3, c4, c5 = channels
+        c2, c3, c4, c5 = CHANNELS
         self.proj5 = Conv2d(c5, c5, 1, rng=rng, dtype=dtype)
         self.fuse4 = GatedFusion(c5, c4, c4, gated=gated, rng=rng, dtype=dtype)
         self.fuse3 = GatedFusion(c4, c3, c3, gated=gated, rng=rng, dtype=dtype)
@@ -279,37 +279,36 @@ class ReviewBlock(Module):
     (each followed by channel attention and a 3x3 conv); the branch sum,
     concatenated with the fine prediction and fused, is added to the
     trunk as a residual, giving the refined features and their
-    prediction.  Disabled attention branches keep their convs and simply
-    skip the gating product.
+    prediction.  The residual keeps every branch at the trunk's
+    ``low_ch`` channels.  Disabled attention branches keep their convs
+    and simply skip the gating product.
 
     Each transition's weight spans the trunk channels, then the coarse
     ones, as if applied to their concatenation at the trunk resolution.
     A 1x1 conv commutes with bilinear upsampling, so the coarse columns
-    are applied at the coarse resolution and only their out_ch-channel
+    are applied at the coarse resolution and only their low_ch-channel
     result is upsampled: the same function without building the upsampled
     coarse level or the concatenation.  The coarse prediction is
     upsampled for the attention maps.
     """
 
-    def __init__(self, low_ch: int, high_ch: int, out_ch: int, *,
-                 use_conflict: bool, use_reverse: bool, rng,
-                 dtype=np.float32):
+    def __init__(self, low_ch: int, high_ch: int, *, use_conflict: bool,
+                 use_reverse: bool, rng, dtype=np.float32):
         super().__init__()
         self.use_conflict = use_conflict
         self.use_reverse = use_reverse
         cat_ch = low_ch + high_ch
-        self.trans1 = Conv2d(cat_ch, out_ch, 1, rng=rng, dtype=dtype)
-        self.trans2 = Conv2d(cat_ch, out_ch, 1, rng=rng, dtype=dtype)
-        self.trans3 = Conv2d(cat_ch, out_ch, 1, rng=rng, dtype=dtype)
-        self.attn1 = SqueezeExcite(out_ch, rng=rng, dtype=dtype)
-        self.attn2 = SqueezeExcite(out_ch, rng=rng, dtype=dtype)
-        self.attn3 = SqueezeExcite(out_ch, rng=rng, dtype=dtype)
-        self.conv1 = Conv2d(out_ch, out_ch, 3, padding=1, rng=rng, dtype=dtype)
-        self.conv2 = Conv2d(out_ch, out_ch, 3, padding=1, rng=rng, dtype=dtype)
-        self.conv3 = Conv2d(out_ch, out_ch, 3, padding=1, rng=rng, dtype=dtype)
-        self.fuse = Conv2d(out_ch + 1, out_ch, 3, padding=1, rng=rng,
-                           dtype=dtype)
-        self.head = Conv2d(out_ch, 1, 1, rng=rng, dtype=dtype)
+        self.trans1 = Conv2d(cat_ch, low_ch, 1, rng=rng, dtype=dtype)
+        self.trans2 = Conv2d(cat_ch, low_ch, 1, rng=rng, dtype=dtype)
+        self.trans3 = Conv2d(cat_ch, low_ch, 1, rng=rng, dtype=dtype)
+        self.attn1 = SqueezeExcite(low_ch, rng=rng, dtype=dtype)
+        self.attn2 = SqueezeExcite(low_ch, rng=rng, dtype=dtype)
+        self.attn3 = SqueezeExcite(low_ch, rng=rng, dtype=dtype)
+        self.conv1 = Conv2d(low_ch, low_ch, 3, rng=rng, dtype=dtype)
+        self.conv2 = Conv2d(low_ch, low_ch, 3, rng=rng, dtype=dtype)
+        self.conv3 = Conv2d(low_ch, low_ch, 3, rng=rng, dtype=dtype)
+        self.fuse = Conv2d(low_ch + 1, low_ch, 3, rng=rng, dtype=dtype)
+        self.head = Conv2d(low_ch, 1, 1, rng=rng, dtype=dtype)
 
     @staticmethod
     def _transition(trans: Conv2d, d_low: Tensor, d_high: Tensor,
@@ -393,34 +392,31 @@ class ChangeDetector(Module):
     """Full network; ``cfg`` selects which components exist at all."""
 
     def __init__(self, cfg: AblationConfig = AblationConfig(), *,
-                 channels=(16, 32, 64, 128), texture_ch: int = 16,
                  seed: int = 0, dtype=np.float32):
         super().__init__()
         rng = np.random.default_rng(seed)
         self.cfg = cfg
-        self.channels = tuple(channels)
-        c2, c3, c4, c5 = channels
+        c2, c3, c4, c5 = CHANNELS
         trunk_ch = c2
 
-        self.encoder = Encoder(channels, rng=rng, dtype=dtype)
-        self.decoder = Decoder(channels, gated=cfg.use_fam_gate, rng=rng,
-                               dtype=dtype)
+        self.encoder = Encoder(rng=rng, dtype=dtype)
+        self.decoder = Decoder(gated=cfg.use_fam_gate, rng=rng, dtype=dtype)
         self.diffs = ModuleList([
-            TemporalDifference(c, rng=rng, dtype=dtype) for c in channels])
+            TemporalDifference(c, rng=rng, dtype=dtype) for c in CHANNELS])
         self.level_heads = ModuleList([
-            Conv2d(c, 1, 1, rng=rng, dtype=dtype) for c in channels])
+            Conv2d(c, 1, 1, rng=rng, dtype=dtype) for c in CHANNELS])
         if cfg.use_krm:
             self.reviews = ModuleList([
-                ReviewBlock(trunk_ch, ch, trunk_ch,
+                ReviewBlock(trunk_ch, ch,
                             use_conflict=cfg.use_conflict_attention,
                             use_reverse=cfg.use_reverse_attention,
                             rng=rng, dtype=dtype)
                 for ch in (c3, c4, c5)])
         if cfg.use_oue:
             self.uncertainty = UncertaintyBranch(
-                c2, texture_ch, gated=cfg.use_fam_gate, rng=rng, dtype=dtype)
+                c2, TEXTURE_CH, gated=cfg.use_fam_gate, rng=rng, dtype=dtype)
         if cfg.fuse_uncertainty:
-            self.final_fuse = GatedFusion(trunk_ch, texture_ch, trunk_ch,
+            self.final_fuse = GatedFusion(trunk_ch, TEXTURE_CH, trunk_ch,
                                           gated=cfg.use_fam_gate, rng=rng,
                                           dtype=dtype)
         self.final_head = Conv2d(trunk_ch, 1, 1, rng=rng, dtype=dtype)

@@ -96,17 +96,17 @@ def _uniform(rng: np.random.Generator, fan_in: int, shape, dtype) -> np.ndarray:
 
 
 class Conv2d(Module):
+    """Convolution with a bias and "same" padding of ``kernel // 2``."""
+
     def __init__(self, in_ch: int, out_ch: int, kernel: int, *,
-                 stride: int = 1, padding: int = 0, bias: bool = True,
-                 rng: np.random.Generator, dtype=np.float32):
+                 stride: int = 1, rng: np.random.Generator, dtype=np.float32):
         super().__init__()
         self.stride = stride
-        self.padding = padding
+        self.padding = kernel // 2
         fan_in = in_ch * kernel * kernel
         self.weight = Parameter(
             _uniform(rng, fan_in, (out_ch, in_ch, kernel, kernel), dtype))
-        self.bias = Parameter(np.zeros(out_ch, dtype=dtype), decay=False) \
-            if bias else None
+        self.bias = Parameter(np.zeros(out_ch, dtype=dtype), decay=False)
 
     def forward(self, x: Tensor) -> Tensor:
         return ops.conv2d(x, self.weight, self.bias,
@@ -114,21 +114,18 @@ class Conv2d(Module):
 
 
 class Conv3d(Module):
-    def __init__(self, in_ch: int, out_ch: int, kernel: tuple[int, int, int],
-                 *, padding: tuple[int, int, int] = (0, 0, 0),
-                 bias: bool = True, rng: np.random.Generator,
+    """2x3x3 convolution with a bias over a stacked [N, C, 2, H, W] pair:
+    it collapses the two epochs and keeps the spatial size."""
+
+    def __init__(self, in_ch: int, out_ch: int, *, rng: np.random.Generator,
                  dtype=np.float32):
         super().__init__()
-        self.padding = padding
-        kt, kh, kw = kernel
-        fan_in = in_ch * kt * kh * kw
         self.weight = Parameter(
-            _uniform(rng, fan_in, (out_ch, in_ch, kt, kh, kw), dtype))
-        self.bias = Parameter(np.zeros(out_ch, dtype=dtype), decay=False) \
-            if bias else None
+            _uniform(rng, in_ch * 2 * 3 * 3, (out_ch, in_ch, 2, 3, 3), dtype))
+        self.bias = Parameter(np.zeros(out_ch, dtype=dtype), decay=False)
 
     def forward(self, x: Tensor) -> Tensor:
-        return ops.conv3d(x, self.weight, self.bias, padding=self.padding)
+        return ops.conv3d(x, self.weight, self.bias, padding=(0, 1, 1))
 
 
 class BatchNorm(Module):
@@ -138,11 +135,8 @@ class BatchNorm(Module):
     serialized separately by the checkpoint writer.
     """
 
-    def __init__(self, channels: int, *, momentum: float = 0.1,
-                 eps: float = 1e-5, dtype=np.float32):
+    def __init__(self, channels: int, *, dtype=np.float32):
         super().__init__()
-        self.momentum = momentum
-        self.eps = eps
         self.weight = Parameter(np.ones(channels, dtype=dtype), decay=False)
         self.bias = Parameter(np.zeros(channels, dtype=dtype), decay=False)
         self.running_mean = np.zeros(channels, dtype=dtype)
@@ -151,8 +145,7 @@ class BatchNorm(Module):
     def forward(self, x: Tensor) -> Tensor:
         return ops.batch_norm(x, self.weight, self.bias,
                               self.running_mean, self.running_var,
-                              training=self.training,
-                              momentum=self.momentum, eps=self.eps)
+                              training=self.training)
 
 
 class Linear(Module):
@@ -177,12 +170,11 @@ class Linear(Module):
 class ConvBlock(Module):
     """3x3 convolution, batch norm, relu: the standard feature block."""
 
-    def __init__(self, in_ch: int, out_ch: int, *, kernel: int = 3,
-                 stride: int = 1, rng: np.random.Generator,
-                 dtype=np.float32):
+    def __init__(self, in_ch: int, out_ch: int, *, stride: int = 1,
+                 rng: np.random.Generator, dtype=np.float32):
         super().__init__()
-        self.conv = Conv2d(in_ch, out_ch, kernel, stride=stride,
-                           padding=kernel // 2, rng=rng, dtype=dtype)
+        self.conv = Conv2d(in_ch, out_ch, 3, stride=stride, rng=rng,
+                           dtype=dtype)
         self.bn = BatchNorm(out_ch, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -191,13 +183,13 @@ class ConvBlock(Module):
 
 class SqueezeExcite(Module):
     """Channel attention (Hu et al. 2018): global pool to [N, C, 1, 1],
-    a bottleneck of two 1x1 layers, and a sigmoid gate that scales each
-    channel."""
+    a bottleneck of two 1x1 layers (a quarter of the channels, at least
+    one), and a sigmoid gate that scales each channel."""
 
-    def __init__(self, channels: int, *, reduction: int = 4,
-                 rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, channels: int, *, rng: np.random.Generator,
+                 dtype=np.float32):
         super().__init__()
-        hidden = max(channels // reduction, 1)
+        hidden = max(channels // 4, 1)
         self.fc1 = Linear(channels, hidden, rng=rng, dtype=dtype)
         self.fc2 = Linear(hidden, channels, rng=rng, dtype=dtype)
 

@@ -8,6 +8,7 @@ single-threaded mode.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import checkpoint
-from .autodiff import Parameter, Tensor, backward, no_grad
+from .autodiff import Parameter, Tensor, backward, clear_record, no_grad
 from .data import AugmentationPolicy, BiTemporalSample, augment
 from .errors import (ConfigError, NumericalError, OptimizerError,
                      TrainingDiverged)
@@ -29,6 +30,8 @@ LOG_NAME = "loss_log.tsv"
 # Elements per AdamW pass: the two scratch blocks stay in cache.
 _BLOCK = 1 << 15
 FINAL_CHECKPOINT = "model.ckpt"
+_INT_KEYS = ("max_iteration", "batch_size", "seed", "checkpoint_every")
+_FLOAT_KEYS = ("lr0", "weight_decay", "beta1", "beta2", "eps", "power")
 
 
 @dataclass(frozen=True)
@@ -46,26 +49,32 @@ class TrainConfig:
     ablation: AblationConfig = field(default_factory=AblationConfig)
 
     def __post_init__(self):
-        if self.lr0 <= 0.0:
-            raise ConfigError(f"lr0 must be positive, got {self.lr0}")
+        for name in _FLOAT_KEYS:
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got "
+                                  f"{getattr(self, name)}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError(f"betas must lie in [0, 1), got "
                               f"{self.beta1}/{self.beta2}")
-        if self.max_iteration < 1:
-            raise ConfigError(f"max_iteration must be >= 1, got "
-                              f"{self.max_iteration}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-
-
-_INT_KEYS = {"max_iteration", "batch_size", "seed", "checkpoint_every"}
-_FLOAT_KEYS = {"lr0", "weight_decay", "beta1", "beta2", "eps", "power"}
+        for name, ok, rule in (
+                ("lr0", self.lr0 > 0.0, "positive"),
+                ("weight_decay", self.weight_decay >= 0.0, ">= 0"),
+                ("eps", self.eps > 0.0, "positive"),
+                ("power", self.power >= 0.0, ">= 0"),
+                ("max_iteration", self.max_iteration >= 1, ">= 1"),
+                ("batch_size", self.batch_size >= 1, ">= 1"),
+                ("checkpoint_every", self.checkpoint_every >= 0, ">= 0")):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got "
+                                  f"{getattr(self, name)}")
 
 
 def parse_config(path, *, warn=lambda msg: print(f"warning: {msg}",
                                                  file=sys.stderr)) -> TrainConfig:
-    """Line-based key=value config; unknown keys and bad lines are errors."""
+    """Line-based key=value config; unknown, repeated and bad lines are
+    errors."""
     fields: dict = {}
+    seen: set[str] = set()
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -75,6 +84,9 @@ def parse_config(path, *, warn=lambda msg: print(f"warning: {msg}",
                               f"got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key in seen:
+            raise ConfigError(f"{path}: line {lineno}: repeated key {key!r}")
+        seen.add(key)
         try:
             if key in _INT_KEYS:
                 fields[key] = int(value)
@@ -217,19 +229,18 @@ def step_loss(model: ChangeDetector, t1: Tensor, t2: Tensor,
 
 
 def train(samples: Sequence[BiTemporalSample], cfg: TrainConfig, out_dir, *,
-          policy: Optional[AugmentationPolicy] = None,
           progress: bool = False) -> TrainResult:
     """Run the optimization loop and leave a checkpoint plus loss log.
 
     On a non-finite loss or gradient the loop aborts, keeps the last
-    periodic checkpoint and the partial log, and raises TrainingDiverged.
+    periodic checkpoint and the partial log, clears the operation record
+    and raises TrainingDiverged.
     """
     if not samples:
         raise ConfigError("train: dataset is empty")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if policy is None:
-        policy = AugmentationPolicy()
+    policy = AugmentationPolicy()
 
     model = ChangeDetector(cfg.ablation, seed=cfg.seed, dtype=np.float32)
     optimizer = AdamW(list(model.named_parameters()), cfg)
@@ -249,22 +260,15 @@ def train(samples: Sequence[BiTemporalSample], cfg: TrainConfig, out_dir, *,
         model.train()
         try:
             losses = step_loss(model, t1, t2, g)
-        except NumericalError as e:
-            flush_log()
-            raise TrainingDiverged(
-                f"{e} at iteration {it}; last-good checkpoint retained "
-                f"in {out_dir}") from e
-        values = losses.values()
-        if not np.isfinite(values["total"]):
-            flush_log()
-            raise TrainingDiverged(
-                f"non-finite loss {values['total']} at iteration {it}; "
-                f"last-good checkpoint retained in {out_dir}")
-        backward(losses.total)
-        lr = poly_lr(it, cfg)
-        try:
+            values = losses.values()
+            if not np.isfinite(values["total"]):
+                raise NumericalError(f"non-finite loss {values['total']}")
+            backward(losses.total)
+            # bench/tracing.py's StepClock marks iterations at this call.
+            lr = poly_lr(it, cfg)
             optimizer.step(lr)
-        except OptimizerError as e:
+        except (NumericalError, OptimizerError) as e:
+            clear_record()
             flush_log()
             raise TrainingDiverged(
                 f"{e} at iteration {it}; last-good checkpoint retained "

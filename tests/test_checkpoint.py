@@ -1,5 +1,6 @@
 """Checkpoint persistence: exact round trips and mismatch diagnostics."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from arcd import checkpoint
 from arcd.autodiff import Tensor, no_grad
 from arcd.errors import CheckpointError
-from arcd.network import ChangeDetector, variant_config
+from arcd.network import VARIANTS, ChangeDetector, variant_config
 from arcd.nn import BatchNorm
 
 
@@ -92,6 +93,36 @@ class TestRoundTrip:
         checkpoint.save(model, a)
         checkpoint.save(model, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of a saved ChangeDetector(variant_config(v), seed=5).  The bytes
+# fix the initialization draws, their order, the parameter names and
+# shapes and the file layout; the five variants that differ only in what
+# the forward computes share one digest.
+_FULL_INIT = "c2d536237190ad4a460d0135b52d5e4c2ec3d83dc8cbcfbe0134cc1ff421a7f8"
+INIT_DIGESTS = {
+    "full": _FULL_INIT,
+    "fam-wo-gate":
+        "f36a99353fde7626f9f31ca6b4099b6d8c87636488fa3e8e94aa92a722526149",
+    "wo-oue":
+        "d23d1714f1d81ce367a476af9c6ca15f3a558a045f43af8299b2f62119474d69",
+    "oue-wo-ual":
+        "fe174b0423981accb65c3dfa4afbc7936c9534e41aa295f8a790214dd435b79c",
+    "oue-boundary-sup": _FULL_INIT,
+    "wo-krm":
+        "971504b61bc6cd8e0457b5acf01c59dfd400357dbca52936b710ced0201195ce",
+    "krm-wo-coa": _FULL_INIT,
+    "krm-wo-rea": _FULL_INIT,
+    "krm-wo-coa-rea": _FULL_INIT,
+}
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_init_checkpoint_bytes_are_pinned(tmp_path, variant):
+    path = tmp_path / "init.ckpt"
+    checkpoint.save(ChangeDetector(variant_config(variant), seed=5), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == INIT_DIGESTS[variant]
 
 
 class TestMismatch:

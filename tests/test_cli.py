@@ -65,6 +65,12 @@ class TestSynth:
                        "--size", "50") == 1
         assert "divisible by 32" in capsys.readouterr().err
 
+    def test_empty_dataset_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run_cli("synth", "--out", out, "--count", "0") == 1
+        assert "--count" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_outputs_exist(self, trained):

@@ -66,7 +66,7 @@ class TestAugment:
 
     def test_all_probabilities_zero_is_identity(self):
         s = self._sample()
-        out = augment(s, AugmentationPolicy(0.0, 0.0, None, 0.0),
+        out = augment(s, AugmentationPolicy(0.0, 0.0, 0.0),
                       np.random.default_rng(0))
         assert np.array_equal(out.image_t1, s.image_t1)
         assert np.array_equal(out.image_t2, s.image_t2)
@@ -74,7 +74,7 @@ class TestAugment:
 
     def test_double_hflip_is_identity(self):
         s = self._sample(1)
-        policy = AugmentationPolicy(1.0, 0.0, None, 0.0)
+        policy = AugmentationPolicy(1.0, 0.0, 0.0)
         once = augment(s, policy, np.random.default_rng(0))
         twice = augment(once, policy, np.random.default_rng(0))
         assert np.array_equal(twice.image_t1, s.image_t1)
@@ -82,7 +82,7 @@ class TestAugment:
 
     def test_temporal_exchange_swaps_images_only(self):
         s = self._sample(2)
-        out = augment(s, AugmentationPolicy(0.0, 0.0, None, 1.0),
+        out = augment(s, AugmentationPolicy(0.0, 0.0, 1.0),
                       np.random.default_rng(0))
         assert np.array_equal(out.image_t1, s.image_t2)
         assert np.array_equal(out.image_t2, s.image_t1)
@@ -91,28 +91,14 @@ class TestAugment:
     def test_pixel_correspondence_preserved(self):
         # The mask transforms exactly like the appearance difference.
         s = self._sample(3)
-        policy = AugmentationPolicy(1.0, 1.0, 32, 0.0)
+        policy = AugmentationPolicy(1.0, 1.0, 0.0)
         out = augment(s, policy, np.random.default_rng(7))
         diff = (np.abs(out.image_t1 - out.image_t2).max(axis=0) > 0)
         assert np.array_equal(out.gt_change.astype(bool), diff)
 
-    def test_crop_shapes_and_bounds(self):
-        s = self._sample(4)
-        out = augment(s, AugmentationPolicy(0.0, 0.0, 32, 0.0),
-                      np.random.default_rng(1))
-        assert out.height == out.width == 32
-
-    def test_oversized_crop_rejected(self):
-        s = self._sample(5)
-        with pytest.raises(DataError, match="crop"):
-            augment(s, AugmentationPolicy(0.0, 0.0, 128, 0.0),
-                    np.random.default_rng(0))
-
     def test_invalid_policy_rejected(self):
         with pytest.raises(DataError):
             AugmentationPolicy(p_hflip=1.5)
-        with pytest.raises(DataError):
-            AugmentationPolicy(crop=30)
 
 
 class TestPnm:

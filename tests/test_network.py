@@ -158,9 +158,9 @@ class TestReviewBlock:
         # not just their numeric effect.
         from arcd.autodiff.tensor import clear_record, record_length
         rng = np.random.default_rng(13)
-        on = ReviewBlock(4, 6, 4, use_conflict=True, use_reverse=True,
+        on = ReviewBlock(4, 6, use_conflict=True, use_reverse=True,
                          rng=np.random.default_rng(99), dtype=np.float64)
-        off = ReviewBlock(4, 6, 4, use_conflict=False, use_reverse=True,
+        off = ReviewBlock(4, 6, use_conflict=False, use_reverse=True,
                           rng=np.random.default_rng(99), dtype=np.float64)
         inputs = tuple(Tensor(t.data, requires_grad=True)
                        for t in self._inputs(rng))
@@ -176,9 +176,9 @@ class TestReviewBlock:
 
     def test_attention_flags_change_output(self):
         rng = np.random.default_rng(14)
-        base = ReviewBlock(4, 6, 4, use_conflict=True, use_reverse=True,
+        base = ReviewBlock(4, 6, use_conflict=True, use_reverse=True,
                            rng=np.random.default_rng(50), dtype=np.float64)
-        ablated = ReviewBlock(4, 6, 4, use_conflict=False, use_reverse=True,
+        ablated = ReviewBlock(4, 6, use_conflict=False, use_reverse=True,
                               rng=np.random.default_rng(50), dtype=np.float64)
         inputs = self._inputs(rng)
         base.eval(), ablated.eval()
@@ -213,7 +213,7 @@ class TestReviewBlock:
     def test_matches_concat_then_transition_oracle(self, factor, use_conflict,
                                                    use_reverse):
         rng = np.random.default_rng(17 + factor)
-        block = ReviewBlock(4, 6, 4, use_conflict=use_conflict,
+        block = ReviewBlock(4, 6, use_conflict=use_conflict,
                             use_reverse=use_reverse, rng=rng,
                             dtype=np.float64)
         for _, p in block.named_parameters():
@@ -237,7 +237,7 @@ class TestReviewBlock:
         # upsampled, so the wide upsampled level and its concatenation with
         # the trunk are never built.
         rng = np.random.default_rng(18)
-        block = ReviewBlock(16, 128, 16, use_conflict=True, use_reverse=True,
+        block = ReviewBlock(16, 128, use_conflict=True, use_reverse=True,
                             rng=rng)
         block.eval()
         inputs = (Tensor(rng.standard_normal((1, 16, 128, 128))
@@ -260,7 +260,7 @@ class TestReviewBlock:
 
     def test_zero_features_stay_finite(self):
         rng = np.random.default_rng(15)
-        block = ReviewBlock(4, 6, 4, use_conflict=True, use_reverse=True,
+        block = ReviewBlock(4, 6, use_conflict=True, use_reverse=True,
                             rng=rng, dtype=np.float64)
         block.eval()
         zero_low = Tensor(np.zeros((1, 4, 8, 8)))

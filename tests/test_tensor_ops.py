@@ -299,7 +299,7 @@ class TestBatchNorm:
         x = Tensor(rng.standard_normal((4, 2, 3, 3)) * 2 + 1)
         rm, rv = np.zeros(2), np.ones(2)
         ops.batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                       rm, rv, training=True, momentum=0.1)
+                       rm, rv, training=True)
         assert not np.allclose(rm, 0.0)
         mu = x.data.mean(axis=(0, 2, 3))
         assert np.allclose(rm, 0.1 * mu)

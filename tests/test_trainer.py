@@ -218,6 +218,23 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="line 1"):
             parse_config(path)
 
+    @pytest.mark.parametrize("text, field", [
+        ("lr0=nan", "lr0"),
+        ("lr0=inf", "lr0"),
+        ("weight_decay=-1", "weight_decay"),
+        ("eps=0", "eps"),
+        ("eps=nan", "eps"),
+        ("power=nan", "power"),
+        ("power=-1", "power"),
+        ("checkpoint_every=-3", "checkpoint_every"),
+        ("lr0=0.001\nlr0=5", "line 2: repeated key 'lr0'"),
+    ])
+    def test_malformed_value_is_a_config_error(self, tmp_path, text, field):
+        path = tmp_path / "cfg.txt"
+        path.write_text(text + "\n")
+        with pytest.raises(ConfigError, match=field):
+            parse_config(path)
+
     def test_invalid_field_values_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(lr0=0.0)
@@ -318,6 +335,16 @@ class TestTrainLoop:
         assert kept, "periodic checkpoint should survive the abort"
         assert (tmp_path / "run" / "loss_log.tsv").exists()
 
+    def test_divergence_clears_operation_record(self, tmp_path):
+        # The aborted step's activations must not stay on the thread.
+        from arcd.autodiff import record_length
+        cfg = TrainConfig(lr0=1e12, max_iteration=50, batch_size=2, seed=2,
+                          checkpoint_every=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged):
+                train(_tiny_dataset(), cfg, tmp_path / "run")
+        assert record_length() == 0
+
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="empty"):
             train([], TrainConfig(), tmp_path / "run")
@@ -326,7 +353,7 @@ class TestTrainLoop:
         # Exchange-augmented and plain copies of a sample give the same
         # loss under the same weights (single-threaded, 64-bit).
         s = generate(SyntheticSceneSpec(size=64, seed=23), 1)[0]
-        policy = AugmentationPolicy(0.0, 0.0, None, 1.0)
+        policy = AugmentationPolicy(0.0, 0.0, 1.0)
         from arcd.data import augment
         swapped = augment(s, policy, np.random.default_rng(0))
         model = ChangeDetector(seed=3, dtype=np.float64)
