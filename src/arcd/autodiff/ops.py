@@ -13,7 +13,15 @@ adjoint rebuilds the phases instead of keeping them alive until backward.
 no time padding, equal spatial padding), the one case the network uses,
 which is ``conv2d`` with time folded into channels.  At batch size 1 a
 convolution's output is a strided view of the top-left corner of its
-output grid rather than a cropped copy.
+output grid rather than a cropped copy.  A pointwise convolution (1x1
+kernel, stride 1, no padding: squeeze-excite, transitions, heads, gates
+and projections) skips the taps and the grid: it is one batched matmul
+[K,C] @ [N,C,H*W], and its adjoint two matmuls and a sum.
+
+Training-mode ``batch_norm`` can split its batch into equal leading
+groups, each normalized by its own statistics: the network runs the two
+epochs of a Siamese pair as one batch of 2N and keeps per-epoch
+statistics that way.
 
 An output that will not be recorded keeps no buffer for an adjoint:
 ``batch_norm`` then finishes it in the buffer that holds the normalized
@@ -29,8 +37,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import (Tensor, ShapeError, accumulate, as_tensor, kinks_active,
-                     note_kink, record, same_shape, will_record)
+from .tensor import (Tensor, ShapeError, accumulate, as_tensor, grad_enabled,
+                     kinks_active, note_kink, record, same_shape,
+                     will_record)
 
 __all__ = [
     "add", "mul", "one_minus", "relu", "sigmoid", "concat", "narrow",
@@ -217,10 +226,8 @@ def _phase_map(s: int, p: int, h: int, w: int):
 def _phases(a: np.ndarray, s: int, p: int, hq: int, wq: int,
             slack: int = 0) -> np.ndarray:
     """[N, C, H, W] -> [s*s, C, N*hq*wq + slack], the stride phases of
-    ``a`` zero-padded by p; ``a`` itself (a view when N == 1) if unpadded."""
+    ``a`` zero-padded by p."""
     n, c, h, w = a.shape
-    if s == 1 and p == 0 and slack == 0 and (h, w) == (hq, wq):
-        return a.swapaxes(0, 1).reshape(1, c, n * h * w)
     buf = np.zeros((s * s, c, n * hq * wq + slack), dtype=a.dtype)
     grid = buf[:, :, :n * hq * wq].reshape(s * s, c, n, hq, wq)
     for ph, src, dst in _phase_map(s, p, h, w):
@@ -231,10 +238,8 @@ def _phases(a: np.ndarray, s: int, p: int, hq: int, wq: int,
 def _unphase(buf: np.ndarray, s: int, p: int, n: int, h: int, w: int,
              hq: int, wq: int) -> np.ndarray:
     """The inverse of ``_phases``, padding cropped: a contiguous
-    [N, C, H, W], with no copy for one unpadded phase when N == 1."""
+    [N, C, H, W]."""
     grid = buf[:, :, :n * hq * wq].reshape(s * s, -1, n, hq, wq)
-    if s == 1 and p == 0 and (h, w) == (hq, wq):
-        return np.ascontiguousarray(grid[0].swapaxes(0, 1))
     out = np.empty((n, grid.shape[1], h, w), dtype=buf.dtype)
     for ph, src, dst in _phase_map(s, p, h, w):
         out[src] = grid[ph][dst].swapaxes(0, 1)
@@ -254,6 +259,8 @@ def _conv(name: str, x: Tensor, weight: Tensor, bias, s: int,
     n, k = x.shape[0], weight.shape[0]
     h, w = x.shape[-2:]
     kh, kw = weight.shape[-2:]
+    if kh == kw == 1 and s == 1 and p == 0:
+        return _pointwise(name, x, weight, bias)
     xd = x.data.reshape(n, -1, h, w)
     c = xd.shape[1]
     ho, wo = (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
@@ -307,6 +314,32 @@ def _conv(name: str, x: Tensor, weight: Tensor, bias, s: int,
                 dxq[ph, :, off:off + cols] += wt.T @ gq
             accumulate(x, _unphase(dxq, s, p, n, h, w, hq, wq).reshape(
                 x.shape))
+
+    return record(name, inputs, out, adjoint)
+
+
+def _pointwise(name: str, x: Tensor, weight: Tensor, bias) -> Tensor:
+    """``_conv`` for a 1x1 kernel at stride 1 without padding: one
+    batched matmul [K, C] @ [N, C, H*W], no taps, phases or grid."""
+    n, k = x.shape[0], weight.shape[0]
+    h, w = x.shape[-2:]
+    xd = x.data.reshape(n, -1, h * w)
+    wd = weight.data.reshape(k, -1)
+    out_d = np.matmul(wd, xd)
+    if bias is not None:
+        out_d += bias.data[:, None]
+    out = Tensor(out_d.reshape((n, k) + (1,) * (x.ndim - 4) + (h, w)))
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+
+    def adjoint(g):
+        g = g.reshape(n, k, h * w)
+        if bias is not None and bias.requires_grad:
+            accumulate(bias, g.sum(axis=(0, 2)))
+        if weight.requires_grad:
+            accumulate(weight, np.matmul(g, xd.swapaxes(1, 2)).sum(axis=0)
+                       .reshape(weight.shape))
+        if x.requires_grad:
+            accumulate(x, np.matmul(wd.T, g).reshape(x.shape))
 
     return record(name, inputs, out, adjoint)
 
@@ -383,13 +416,16 @@ BN_MOMENTUM = 0.1
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool, eps: float = 1e-5) -> Tensor:
+               training: bool, eps: float = 1e-5, groups: int = 1) -> Tensor:
     """Per-channel normalization over [N, C, ...spatial] tensors.
 
-    Training mode normalizes by the batch statistics and updates the
-    running estimates in place (exponential moving average with weight
-    ``BN_MOMENTUM``, unbiased variance); eval mode applies the running
-    estimates as constants.
+    Training mode splits the batch into ``groups`` equal leading slices
+    and normalizes each by its own batch statistics, as if each were a
+    call of its own; the running estimates take one update per slice, in
+    slice order (exponential moving average with weight ``BN_MOMENTUM``,
+    unbiased variance).  A batch that does not split evenly is a
+    ShapeError.  Eval mode applies the running estimates as constants and
+    ignores ``groups``.
     """
     if x.ndim < 2:
         raise ShapeError(f"batch_norm: input must be [N,C,...], got {x.shape}")
@@ -397,29 +433,42 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batch_norm: gamma/beta must have shape ({c},) to "
                          f"match channel axis 1")
+    if not training:
+        groups = 1
+    elif groups < 1 or x.shape[0] % groups:
+        raise ShapeError(f"batch_norm: a batch of {x.shape[0]} (axis 0) does "
+                         f"not split into {groups} equal groups")
     axes = (0,) + tuple(range(2, x.ndim))
-    bshape = (1, c) + (1,) * (x.ndim - 2)
-    m = x.size // c
+    # Each group is a leading slice: [G, N/G, C, ...] with statistics
+    # [G, C] that broadcast as [G, 1, C, 1, ...].
+    split = (groups, x.shape[0] // groups) + x.shape[1:]
+    gaxes = (1,) + tuple(range(3, x.ndim + 1))
+    sshape = (groups, 1, c) + (1,) * (x.ndim - 2)
+    m = x.size // (c * groups)
+    xg = x.data.reshape(split)
 
     if training:
         if m <= 1:
             raise ShapeError("batch_norm: training mode needs more than one "
-                             "value per channel (N * spatial > 1)")
-        mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
-        from .tensor import grad_enabled
+                             "value per channel in each group "
+                             "(N / groups * spatial > 1)")
+        mu = xg.mean(axis=gaxes)
+        var = xg.var(axis=gaxes)
         if grad_enabled():
-            running_mean *= (1.0 - BN_MOMENTUM)
-            running_mean += BN_MOMENTUM * mu
-            running_var *= (1.0 - BN_MOMENTUM)
-            running_var += BN_MOMENTUM * var * (m / (m - 1))
+            for mu_g, var_g in zip(mu, var):
+                running_mean *= (1.0 - BN_MOMENTUM)
+                running_mean += BN_MOMENTUM * mu_g
+                running_var *= (1.0 - BN_MOMENTUM)
+                running_var += BN_MOMENTUM * var_g * (m / (m - 1))
     else:
         mu = running_mean.astype(x.dtype, copy=False)
         var = running_var.astype(x.dtype, copy=False)
 
-    istd = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
-    xhat = x.data - mu.reshape(bshape)
-    xhat *= istd.reshape(bshape)
+    istd = (1.0 / np.sqrt(var + x.data.dtype.type(eps))).reshape(sshape)
+    xhat = xg - mu.reshape(sshape)
+    xhat *= istd
+    xhat = xhat.reshape(x.shape)
+    bshape = (1, c) + (1,) * (x.ndim - 2)
     if will_record((x, gamma, beta)):
         y = gamma.data.reshape(bshape) * xhat
     else:
@@ -434,14 +483,15 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         accumulate(gamma, (g * xhat).sum(axis=axes))
         if not x.requires_grad:
             return
-        dxhat = g * gamma.data.reshape(bshape)
+        dxhat = (g * gamma.data.reshape(bshape)).reshape(split)
         if training:
-            s1 = dxhat.sum(axis=axes).reshape(bshape)
-            s2 = (dxhat * xhat).sum(axis=axes).reshape(bshape)
-            gx = (istd.reshape(bshape) / m) * (m * dxhat - s1 - xhat * s2)
+            xh = xhat.reshape(split)
+            s1 = dxhat.sum(axis=gaxes).reshape(sshape)
+            s2 = (dxhat * xh).sum(axis=gaxes).reshape(sshape)
+            gx = (istd / m) * (m * dxhat - s1 - xh * s2)
         else:
-            gx = dxhat * istd.reshape(bshape)
-        accumulate(x, gx)
+            gx = dxhat * istd
+        accumulate(x, gx.reshape(x.shape))
 
     return record("batch_norm", (x, gamma, beta), out, adjoint)
 

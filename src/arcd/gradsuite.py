@@ -35,6 +35,14 @@ def _bn_case(seed):
                      [(2, 3, 4, 4)], seed, params=params)
 
 
+def _bn_grouped_case(seed):
+    # Two groups of two samples, each normalized by its own statistics.
+    bn = BatchNorm(3, groups=2, dtype=np.float64)
+    params = list(bn.named_parameters())
+    return gradcheck(lambda x: projected_sum(bn(x), seed),
+                     [(4, 3, 4, 4)], seed, params=params)
+
+
 def _bn_eval_case(seed):
     bn = BatchNorm(3, dtype=np.float64)
     rng = np.random.default_rng(seed)
@@ -169,6 +177,7 @@ def build_suite() -> list[SuiteCase]:
                 ops.conv3d(x, w, b, padding=(0, 1, 1)), s),
             [(1, 3, 2, 4, 4), (4, 3, 2, 3, 3), (4,)], s)),
         SuiteCase("batch_norm_train", 1e-4, _bn_case),
+        SuiteCase("batch_norm_grouped", 1e-4, _bn_grouped_case),
         SuiteCase("batch_norm_eval", 1e-4, _bn_eval_case),
         SuiteCase("elementwise_chain", 1e-4, lambda s: gradcheck(
             lambda a, b: projected_sum(

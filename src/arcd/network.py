@@ -17,6 +17,12 @@ stride; only the training loss brings those to full resolution.
 Every difference path is symmetric under swapping the two input epochs,
 so the predicted change map is invariant to temporal order.
 
+The Siamese parts (encoder, decoder, texture encoder, and each
+difference block's two stacking orders) go through ``siamese``.  In
+training it runs both epochs as one batch of 2N, whose batch norms
+normalise each epoch's half with its own statistics; eval keeps two
+batch-N calls, since stacking there only raises peak memory.
+
 Forwards drop each intermediate map once its last reader has run, so an
 eval forward under ``no_grad`` holds only live activations; in training
 the operation record keeps what the adjoints need either way.
@@ -37,6 +43,9 @@ from .nn import (BatchNorm, Conv2d, Conv3d, ConvBlock, Module, ModuleList,
 STRIDES = (4, 8, 16, 32)
 CHANNELS = (16, 32, 64, 128)
 TEXTURE_CH = 16
+# Batch-norm groups of a layer that sees a Siamese pair stacked: the two
+# epochs, or a difference block's two stacking orders.
+PAIR = 2
 
 
 @dataclass(frozen=True)
@@ -85,6 +94,35 @@ def variant_config(name: str) -> AblationConfig:
                          f"(valid: {', '.join(VARIANTS)})") from None
 
 
+def siamese(training: bool, stages, first, second):
+    """Run ``stages`` in turn on ``first`` and on ``second``.
+
+    Each of ``first`` and ``second`` is a tensor or a tuple of tensors,
+    and each stage takes one such value.  In training both go through
+    each stage once, joined along the batch axis as [first; second], and
+    the last stage's output (a tensor or a list of tensors) is split
+    back into the two halves.  In eval each stage runs on ``first`` and
+    then on ``second``.  Either way it returns the two results.
+    """
+    if not training:
+        for stage in stages:
+            first = stage(first)
+            second = stage(second)
+        return first, second
+    if isinstance(first, Tensor):
+        n = first.shape[0]
+        x = ops.concat([first, second], axis=0)
+    else:
+        n = first[0].shape[0]
+        x = tuple(ops.concat([a, b], axis=0) for a, b in zip(first, second))
+    for stage in stages:
+        x = stage(x)
+    if isinstance(x, Tensor):
+        return ops.narrow(x, 0, 0, n), ops.narrow(x, 0, n, 2 * n)
+    return ([ops.narrow(t, 0, 0, n) for t in x],
+            [ops.narrow(t, 0, n, 2 * n) for t in x])
+
+
 def conflict_attention(p_low: Tensor, p_high_up: Tensor) -> Tensor:
     """Soft disagreement of two probability maps at the same resolution.
 
@@ -107,16 +145,18 @@ class GatedFusion(Module):
     The coarse feature (upsampled if needed) drives a sigmoid gate that
     calibrates the fine feature; both are then concatenated and mixed by
     a 3x3 conv block.  Without the gate the fine feature passes through
-    uncalibrated and the gate convolution does not exist.
+    uncalibrated and the gate convolution does not exist.  ``groups`` is
+    the fuse block's batch-norm group count.
     """
 
     def __init__(self, high_ch: int, low_ch: int, out_ch: int, *,
-                 gated: bool, rng, dtype=np.float32):
+                 gated: bool, groups: int = 1, rng, dtype=np.float32):
         super().__init__()
         self.gated = gated
         if gated:
             self.gate = Conv2d(high_ch, low_ch, 1, rng=rng, dtype=dtype)
-        self.fuse = ConvBlock(high_ch + low_ch, out_ch, rng=rng, dtype=dtype)
+        self.fuse = ConvBlock(high_ch + low_ch, out_ch, groups=groups,
+                              rng=rng, dtype=dtype)
 
     def forward(self, high: Tensor, low: Tensor) -> Tensor:
         if low.shape[2] % high.shape[2] or low.shape[3] % high.shape[3]:
@@ -140,14 +180,15 @@ class TemporalDifference(Module):
     """Order-symmetric change features from a pair of feature maps.
 
     Both stacking orders [a,b] and [b,a] pass through one shared
-    temporal-extent-2 3-d conv block; summing the two order responses
-    makes the output exactly symmetric in its inputs.
+    temporal-extent-2 3-d conv block (as one batch in training, with
+    per-order batch statistics); summing the two order responses makes
+    the output exactly symmetric in its inputs.
     """
 
     def __init__(self, channels: int, *, rng, dtype=np.float32):
         super().__init__()
         self.conv = Conv3d(channels, channels, rng=rng, dtype=dtype)
-        self.bn = BatchNorm(channels, dtype=dtype)
+        self.bn = BatchNorm(channels, groups=PAIR, dtype=dtype)
         self.proj = Conv2d(channels, channels, 1, rng=rng, dtype=dtype)
 
     def _order_response(self, first: Tensor, second: Tensor) -> Tensor:
@@ -159,33 +200,33 @@ class TemporalDifference(Module):
         if a.shape != b.shape:
             raise ShapeError(f"temporal difference: inputs {a.shape} and "
                              f"{b.shape} must match")
-        return self.proj(ops.add(self._order_response(a, b),
-                                 self._order_response(b, a)))
+        ab, ba = siamese(self.training,
+                         [lambda pair: self._order_response(*pair)],
+                         (a, b), (b, a))
+        return self.proj(ops.add(ab, ba))
 
 
 class Encoder(Module):
     """Shared four-stage backbone: stem at stride 4, then three stride-2
-    stages, two conv blocks each."""
+    stages, two conv blocks each.  In training it sees both epochs
+    stacked, so its batch norms keep per-epoch statistics."""
 
     def __init__(self, *, rng, dtype=np.float32):
         super().__init__()
         c2, c3, c4, c5 = CHANNELS
-        self.stage2 = ModuleList([
-            ConvBlock(3, c2, stride=2, rng=rng, dtype=dtype),
-            ConvBlock(c2, c2, stride=2, rng=rng, dtype=dtype),
-        ])
-        self.stage3 = ModuleList([
-            ConvBlock(c2, c3, stride=2, rng=rng, dtype=dtype),
-            ConvBlock(c3, c3, rng=rng, dtype=dtype),
-        ])
-        self.stage4 = ModuleList([
-            ConvBlock(c3, c4, stride=2, rng=rng, dtype=dtype),
-            ConvBlock(c4, c4, rng=rng, dtype=dtype),
-        ])
-        self.stage5 = ModuleList([
-            ConvBlock(c4, c5, stride=2, rng=rng, dtype=dtype),
-            ConvBlock(c5, c5, rng=rng, dtype=dtype),
-        ])
+
+        def stage(in_ch, out_ch, stride2):
+            return ModuleList([
+                ConvBlock(in_ch, out_ch, stride=2, groups=PAIR, rng=rng,
+                          dtype=dtype),
+                ConvBlock(out_ch, out_ch, stride=stride2, groups=PAIR,
+                          rng=rng, dtype=dtype),
+            ])
+
+        self.stage2 = stage(3, c2, 2)
+        self.stage3 = stage(c2, c3, 1)
+        self.stage4 = stage(c3, c4, 1)
+        self.stage5 = stage(c4, c5, 1)
 
     def forward(self, x: Tensor) -> list[Tensor]:
         if x.ndim != 4 or x.shape[1] != 3:
@@ -208,9 +249,12 @@ class Decoder(Module):
         super().__init__()
         c2, c3, c4, c5 = CHANNELS
         self.proj5 = Conv2d(c5, c5, 1, rng=rng, dtype=dtype)
-        self.fuse4 = GatedFusion(c5, c4, c4, gated=gated, rng=rng, dtype=dtype)
-        self.fuse3 = GatedFusion(c4, c3, c3, gated=gated, rng=rng, dtype=dtype)
-        self.fuse2 = GatedFusion(c3, c2, c2, gated=gated, rng=rng, dtype=dtype)
+        self.fuse4 = GatedFusion(c5, c4, c4, gated=gated, groups=PAIR,
+                                 rng=rng, dtype=dtype)
+        self.fuse3 = GatedFusion(c4, c3, c3, gated=gated, groups=PAIR,
+                                 rng=rng, dtype=dtype)
+        self.fuse2 = GatedFusion(c3, c2, c2, gated=gated, groups=PAIR,
+                                 rng=rng, dtype=dtype)
 
     def forward(self, feats: list[Tensor]) -> list[Tensor]:
         f2, f3, f4, f5 = feats
@@ -222,14 +266,18 @@ class Decoder(Module):
 
 
 class TextureEncoder(Module):
-    """Three down-conv blocks (strides 2,2,1) from raw images to stride 4."""
+    """Three down-conv blocks (strides 2,2,1) from raw images to stride 4;
+    like the encoder, it sees both epochs stacked in training."""
 
     def __init__(self, out_ch: int, *, rng, dtype=np.float32):
         super().__init__()
         mid = max(out_ch // 2, 1)
-        self.block1 = ConvBlock(3, mid, stride=2, rng=rng, dtype=dtype)
-        self.block2 = ConvBlock(mid, out_ch, stride=2, rng=rng, dtype=dtype)
-        self.block3 = ConvBlock(out_ch, out_ch, rng=rng, dtype=dtype)
+        self.block1 = ConvBlock(3, mid, stride=2, groups=PAIR, rng=rng,
+                                dtype=dtype)
+        self.block2 = ConvBlock(mid, out_ch, stride=2, groups=PAIR, rng=rng,
+                                dtype=dtype)
+        self.block3 = ConvBlock(out_ch, out_ch, groups=PAIR, rng=rng,
+                                dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         return self.block3(self.block2(self.block1(x)))
@@ -255,8 +303,7 @@ class UncertaintyBranch(Module):
 
     def forward(self, img1: Tensor, img2: Tensor,
                 d2: Tensor) -> tuple[Tensor, Tensor]:
-        t1 = self.texture(img1)
-        t2 = self.texture(img2)
+        t1, t2 = siamese(self.training, [self.texture], img1, img2)
         dt = self.diff(t1, t2)
         del t1, t2
         if dt.shape[2:] != d2.shape[2:]:
@@ -425,12 +472,8 @@ class ChangeDetector(Module):
         if img1.shape != img2.shape:
             raise ShapeError(f"change detector: epoch images {img1.shape} and "
                              f"{img2.shape} must match")
-        feats1 = self.encoder(img1)
-        feats2 = self.encoder(img2)
-        dec1 = self.decoder(feats1)
-        del feats1
-        dec2 = self.decoder(feats2)
-        del feats2
+        dec1, dec2 = siamese(self.training, [self.encoder, self.decoder],
+                             img1, img2)
         diffs = [diff(a, b) for diff, a, b in zip(self.diffs, dec1, dec2)]
         del dec1, dec2
         logits = [head(d) for head, d in zip(self.level_heads, diffs)]

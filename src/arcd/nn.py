@@ -131,12 +131,16 @@ class Conv3d(Module):
 class BatchNorm(Module):
     """Per-channel normalization for any [N, C, ...spatial] input.
 
-    Running statistics live as plain arrays (not parameters) and are
-    serialized separately by the checkpoint writer.
+    In training, ``groups`` equal leading slices of the batch are each
+    normalized by their own statistics (``ops.batch_norm``); a layer of
+    the Siamese trunk sees both epochs stacked and uses 2.  Running
+    statistics live as plain arrays (not parameters) and are serialized
+    separately by the checkpoint writer.
     """
 
-    def __init__(self, channels: int, *, dtype=np.float32):
+    def __init__(self, channels: int, *, groups: int = 1, dtype=np.float32):
         super().__init__()
+        self.groups = groups
         self.weight = Parameter(np.ones(channels, dtype=dtype), decay=False)
         self.bias = Parameter(np.zeros(channels, dtype=dtype), decay=False)
         self.running_mean = np.zeros(channels, dtype=dtype)
@@ -145,7 +149,7 @@ class BatchNorm(Module):
     def forward(self, x: Tensor) -> Tensor:
         return ops.batch_norm(x, self.weight, self.bias,
                               self.running_mean, self.running_var,
-                              training=self.training)
+                              training=self.training, groups=self.groups)
 
 
 class Linear(Module):
@@ -168,14 +172,16 @@ class Linear(Module):
 
 
 class ConvBlock(Module):
-    """3x3 convolution, batch norm, relu: the standard feature block."""
+    """3x3 convolution, batch norm (over ``groups`` batch slices), relu:
+    the standard feature block."""
 
     def __init__(self, in_ch: int, out_ch: int, *, stride: int = 1,
-                 rng: np.random.Generator, dtype=np.float32):
+                 groups: int = 1, rng: np.random.Generator,
+                 dtype=np.float32):
         super().__init__()
         self.conv = Conv2d(in_ch, out_ch, 3, stride=stride, rng=rng,
                            dtype=dtype)
-        self.bn = BatchNorm(out_ch, dtype=dtype)
+        self.bn = BatchNorm(out_ch, groups=groups, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         return ops.relu(self.bn(self.conv(x)))

@@ -20,7 +20,7 @@ import numpy as np
 from . import checkpoint
 from .autodiff import Parameter, Tensor, backward, clear_record, no_grad
 from .data import AugmentationPolicy, BiTemporalSample, augment
-from .errors import (ConfigError, NumericalError, OptimizerError,
+from .errors import (ConfigError, DataError, NumericalError, OptimizerError,
                      TrainingDiverged)
 from .loss import LossBundle, total_loss
 from .metrics import ConfusionMatrix, MetricScores, confusion, score
@@ -232,12 +232,20 @@ def train(samples: Sequence[BiTemporalSample], cfg: TrainConfig, out_dir, *,
           progress: bool = False) -> TrainResult:
     """Run the optimization loop and leave a checkpoint plus loss log.
 
-    On a non-finite loss or gradient the loop aborts, keeps the last
-    periodic checkpoint and the partial log, clears the operation record
-    and raises TrainingDiverged.
+    Every sample must have the first one's size, since a batch stacks
+    them; otherwise it raises DataError before training starts.  On a
+    non-finite loss or gradient the loop aborts, keeps the last periodic
+    checkpoint and the partial log, clears the operation record and
+    raises TrainingDiverged.
     """
     if not samples:
         raise ConfigError("train: dataset is empty")
+    size = samples[0].image_t1.shape
+    for i, s in enumerate(samples):
+        if s.image_t1.shape != size:
+            raise DataError(f"train: sample {i} has images of shape "
+                            f"{s.image_t1.shape}, but sample 0 has {size}; "
+                            f"a batch needs one size")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     policy = AugmentationPolicy()

@@ -1,15 +1,21 @@
 """Architecture contracts: shapes, symmetry, ablation semantics, wiring."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from arcd.autodiff import ShapeError, Tensor, clear_record, no_grad, ops
+from arcd import network
+from arcd.autodiff import (Parameter, ShapeError, Tensor, backward,
+                           clear_record, no_grad, ops)
 from arcd.network import (STRIDES, VARIANTS, ChangeDetector, Encoder,
                           GatedFusion, ReviewBlock, TemporalDifference,
                           conflict_attention, reverse_attention,
                           variant_config)
+from arcd.nn import BatchNorm
+from arcd.loss import total_loss
+from arcd.trainer import predict
 
 
 def rand_images(rng, n=1, size=64, dtype=np.float64):
@@ -379,6 +385,112 @@ class TestFullNetwork:
         finally:
             tracemalloc.stop()
         assert peak <= 4.0e6
+
+    # sha256 of predict's change then uncertainty bytes for
+    # ChangeDetector(seed=5) on the 1x256^2 pair below, computed before
+    # the Siamese trunk was stacked in training: the eval path must keep
+    # these bits.  OpenBLAS at one thread; another BLAS kernel may round
+    # differently.
+    PREDICT_SHA256 = {
+        "float32": "50770c71c9f57942535add1475a2253a"
+                   "3b7bd629d32faa32f96dd48b49b21dcd",
+        "float64": "aedbd2b55edce004f5da9261fb0c8866"
+                   "1b79397b405abb21d0a075d26248697b",
+    }
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_predict_outputs_are_pinned(self, dtype):
+        model = ChangeDetector(seed=5, dtype=np.dtype(dtype))
+        img1, img2 = np.random.default_rng(256).uniform(0.0, 1.0,
+                                                        (2, 3, 256, 256))
+        change, unc = predict(model, img1, img2)
+        assert change.dtype == dtype
+        digest = hashlib.sha256(change.tobytes() + unc.tobytes()).hexdigest()
+        assert digest == self.PREDICT_SHA256[dtype]
+
+    @staticmethod
+    def _batches_seen(monkeypatch):
+        """Wrap every primitive to log the batch size of each activation
+        it reads (not weights, which a conv takes second)."""
+        seen = []
+
+        def wrap(name, fn):
+            def logged(*args, **kwargs):
+                data = args[:1] if name in ("conv2d", "conv3d") else args
+                for a in data:
+                    for t in (a if isinstance(a, list) else [a]):
+                        if (isinstance(t, Tensor)
+                                and not isinstance(t, Parameter)
+                                and t.ndim >= 2):
+                            seen.append((name, t.shape[0]))
+                return fn(*args, **kwargs)
+            return logged
+
+        for name in ops.__all__:
+            monkeypatch.setattr(ops, name, wrap(name, getattr(ops, name)))
+        return seen
+
+    def test_no_grad_eval_forward_sees_only_batch_one(self, monkeypatch):
+        model = ChangeDetector(seed=1)
+        t1, t2 = rand_images(np.random.default_rng(25), dtype=np.float32)
+        seen = self._batches_seen(monkeypatch)
+        model(t1, t2)                   # training stacks the pair: 2N
+        clear_record()
+        assert ("conv2d", 2) in seen and ("batch_norm", 2) in seen
+        seen.clear()
+        model.eval()
+        with no_grad():
+            model(t1, t2)
+        assert {"conv2d", "conv3d", "batch_norm", "concat"} <= \
+            {name for name, _ in seen}
+        assert max(n for _, n in seen) == 1
+
+    def test_stacked_training_step_matches_per_epoch_reference(
+            self, monkeypatch):
+        # The reference runs every Siamese part once per epoch (and each
+        # difference block once per stacking order), with ungrouped batch
+        # norms: the two-call forward that stacking replaced.
+        rng = np.random.default_rng(26)
+        t1, t2 = rand_images(rng, n=2)
+        g = (rng.uniform(size=(2, 1, 64, 64)) < 0.3).astype(np.float64)
+
+        def step(model):
+            bundle = model(t1, t2)
+            backward(total_loss(bundle.side_probs(), bundle.change,
+                                bundle.uncertainty, g, model.cfg).total)
+            maps = [bundle.change, bundle.uncertainty, bundle.features,
+                    *bundle.level_logits, *bundle.refined_logits]
+            grads = {n: p.grad.copy() for n, p in model.named_parameters()}
+            stats = [(m.running_mean.copy(), m.running_var.copy())
+                     for _, m in model.named_modules()
+                     if isinstance(m, BatchNorm)]
+            return maps, grads, stats
+
+        stacked = step(ChangeDetector(seed=9, dtype=np.float64))
+
+        reference = ChangeDetector(seed=9, dtype=np.float64)
+        for _, m in reference.named_modules():
+            if isinstance(m, BatchNorm):
+                m.groups = 1
+
+        def per_epoch(training, stages, first, second):
+            for stage in stages:
+                first, second = stage(first), stage(second)
+            return first, second
+
+        monkeypatch.setattr(network, "siamese", per_epoch)
+        want = step(reference)
+
+        for a, b in zip(stacked[0], want[0]):
+            assert np.abs(a.data - b.data).max() < 1e-12
+        assert stacked[1].keys() == want[1].keys()
+        for name, grad in stacked[1].items():
+            assert np.abs(grad - want[1][name]).max() < 1e-10, name
+        assert len(stacked[2]) == len(want[2]) == 21
+        for (mean, var), (mean_ref, var_ref) in zip(stacked[2], want[2]):
+            assert not np.array_equal(mean, 0.0)
+            assert np.array_equal(mean, mean_ref)
+            assert np.array_equal(var, var_ref)
 
     def test_parameter_count_regression_guard(self):
         # Architecture wiring fingerprints at desk scale.

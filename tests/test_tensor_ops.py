@@ -111,7 +111,7 @@ class TestConv2d:
             ops.conv2d(x, w, None)
 
     @pytest.mark.parametrize("shape_w,stride,padding", [
-        ((5, 6, 1, 1), 1, 0),   # 1x1 at stride 1: one GEMM on the input itself
+        ((5, 6, 1, 1), 1, 0),   # 1x1 at stride 1: the pointwise matmul
         ((5, 6, 3, 3), 2, 1),   # the encoders' strided, padded blocks
         ((5, 6, 3, 3), 1, 1),   # the 3x3 "same" convs everywhere else
     ])
@@ -142,6 +142,59 @@ class TestConv2d:
         finally:
             tracemalloc.stop()
         assert peak < 2 * (x.data.nbytes + y.data.nbytes)
+
+
+class TestPointwiseConv:
+    """A 1x1 stride-1 unpadded conv is one batched matmul, not the taps."""
+
+    @staticmethod
+    def _loop_adjoint(x, w, g):
+        """dL/dx, dL/dw, dL/db of y[n,k] = b[k] + sum_c w[k,c] x[n,c] by
+        explicit loops, given dL/dy = g."""
+        n, c, h, width = x.shape
+        k = w.shape[0]
+        gx, gw, gb = np.zeros(x.shape), np.zeros((k, c)), np.zeros(k)
+        for ni in range(n):
+            for i in range(h):
+                for j in range(width):
+                    for ki in range(k):
+                        gb[ki] += g[ni, ki, i, j]
+                        for ci in range(c):
+                            gx[ni, ci, i, j] += w[ki, ci] * g[ni, ki, i, j]
+                            gw[ki, ci] += g[ni, ki, i, j] * x[ni, ci, i, j]
+        return gx, gw.reshape(k, c, 1, 1), gb
+
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_matches_loop_oracle_forward_and_adjoint(self, n, with_bias):
+        rng = np.random.default_rng(50 + n + with_bias)
+        x = Tensor(rng.standard_normal((n, 5, 3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((6, 5, 1, 1)), requires_grad=True)
+        b = (Tensor(rng.standard_normal(6), requires_grad=True)
+             if with_bias else None)
+        g = rng.standard_normal((n, 6, 3, 4))
+        y = ops.conv2d(x, w, b)
+        want = naive_conv2d(x.data, w.data,
+                            b.data if with_bias else np.zeros(6), 1, 0)
+        assert y.shape == want.shape
+        assert np.abs(y.data - want).max() < 1e-12
+        backward(ops.sum_all(ops.mul(y, Tensor(g))))
+        gx, gw, gb = self._loop_adjoint(x.data, w.data[:, :, 0, 0], g)
+        assert np.abs(x.grad - gx).max() < 1e-12
+        assert np.abs(w.grad - gw).max() < 1e-12
+        if with_bias:
+            assert np.abs(b.grad - gb).max() < 1e-12
+
+    def test_builds_no_phase_buffer(self, monkeypatch):
+        def no_phases(*args, **kwargs):
+            raise AssertionError("a 1x1 conv went through the tap core")
+
+        monkeypatch.setattr(ops, "_phases", no_phases)
+        rng = np.random.default_rng(55)
+        x = Tensor(rng.standard_normal((2, 3, 4, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 3, 1, 1)), requires_grad=True)
+        backward(ops.sum_all(ops.conv2d(x, w, Tensor(np.zeros(2)))))
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
 
 class TestConv3d:
@@ -328,6 +381,54 @@ class TestBatchNorm:
         with pytest.raises(ShapeError):
             ops.batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)),
                            np.zeros(2), np.ones(2), training=True)
+
+    def test_groups_match_sequential_calls(self):
+        # Two groups normalize like two calls on the halves, one after
+        # the other: outputs, running statistics and all three gradients.
+        rng = np.random.default_rng(5)
+        xd = rng.standard_normal((6, 3, 4, 5)) * 2.0 + 0.5
+        xd[3:] = xd[3:] * 0.3 - 1.0     # the halves' statistics differ
+        gd, bd = rng.standard_normal(3), rng.standard_normal(3)
+        seed = rng.standard_normal(xd.shape)
+        stats = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
+
+        def leaves():
+            return (Tensor(xd, requires_grad=True),
+                    Tensor(gd, requires_grad=True),
+                    Tensor(bd, requires_grad=True))
+
+        x, gamma, beta = leaves()
+        rm, rv = stats[0].copy(), stats[1].copy()
+        y = ops.batch_norm(x, gamma, beta, rm, rv, training=True, groups=2)
+        backward(ops.sum_all(ops.mul(y, Tensor(seed))))
+
+        x1, gamma1, beta1 = leaves()
+        rm1, rv1 = stats[0].copy(), stats[1].copy()
+        halves = [ops.batch_norm(ops.narrow(x1, 0, a, a + 3), gamma1, beta1,
+                                 rm1, rv1, training=True) for a in (0, 3)]
+        y1 = ops.concat(halves, axis=0)
+        backward(ops.sum_all(ops.mul(y1, Tensor(seed))))
+
+        assert np.abs(y.data - y1.data).max() < 1e-12
+        assert np.abs(rm - rm1).max() < 1e-12
+        assert np.abs(rv - rv1).max() < 1e-12
+        for a, b in ((x, x1), (gamma, gamma1), (beta, beta1)):
+            assert np.abs(a.grad - b.grad).max() < 1e-12
+
+    def test_indivisible_batch_rejected(self):
+        x = Tensor(np.zeros((3, 2, 4, 4)))
+        with pytest.raises(ShapeError, match="3 .*axis 0.* 2 equal groups"):
+            ops.batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)),
+                           np.zeros(2), np.ones(2), training=True, groups=2)
+
+    def test_eval_ignores_groups(self):
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.standard_normal((3, 2, 4, 4)))
+        rm, rv = rng.standard_normal(2), rng.uniform(0.5, 2.0, 2)
+        args = (Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv)
+        plain = ops.batch_norm(x, *args, training=False)
+        grouped = ops.batch_norm(x, *args, training=False, groups=2)
+        assert np.array_equal(plain.data, grouped.data)
 
 
 class TestElementwise:

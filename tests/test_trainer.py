@@ -6,7 +6,8 @@ import pytest
 from arcd.autodiff import Parameter, Tensor, backward
 from arcd.autodiff.tensor import accumulate
 from arcd.data import AugmentationPolicy, SyntheticSceneSpec, generate
-from arcd.errors import ConfigError, OptimizerError, TrainingDiverged
+from arcd.errors import (ConfigError, DataError, OptimizerError,
+                         TrainingDiverged)
 from arcd.network import ChangeDetector, variant_config
 from arcd.trainer import (AdamW, TrainConfig, parse_config, poly_lr,
                           step_loss, train)
@@ -348,6 +349,16 @@ class TestTrainLoop:
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="empty"):
             train([], TrainConfig(), tmp_path / "run")
+
+    def test_mixed_sample_sizes_rejected_before_training(self, tmp_path):
+        samples = (generate(SyntheticSceneSpec(size=64, seed=30), 2)
+                   + generate(SyntheticSceneSpec(size=96, seed=31), 1)
+                   + generate(SyntheticSceneSpec(size=64, seed=32), 1))
+        cfg = TrainConfig(max_iteration=1, batch_size=2, seed=0,
+                          checkpoint_every=0)
+        with pytest.raises(DataError, match=r"sample 2 .*\(3, 96, 96\)"):
+            train(samples, cfg, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_temporal_exchange_leaves_loss_identical(self):
         # Exchange-augmented and plain copies of a sample give the same
