@@ -2,16 +2,22 @@
 
 Chosen over compressed formats because the round trip is bit-exact and
 the parser fits on one page.  Masks store foreground as 255 and read any
-value >= 128 as foreground; images scale channel bytes by 1/255.
+value >= 128 as foreground.  Images and gray maps store
+``floor(clip(x, 0, 1) * 255 + 0.5)``, refuse NaN, and read back as
+C-contiguous float64 channel bytes over 255.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import PnmParseError
+
+# Bytes per quantization block: a few hundred KiB stays in L2.
+_BLOCK_BYTES = 1 << 18
 
 
 class _HeaderReader:
@@ -96,48 +102,78 @@ def write_mask(path, mask: np.ndarray) -> None:
     mask = np.asarray(mask)
     if mask.ndim != 2:
         raise PnmParseError(f"{path}: mask must be 2-d, got shape {mask.shape}")
-    payload = (mask.astype(bool).astype(np.uint8) * 255)
-    _write(path, b"P5", payload.shape[1], payload.shape[0], payload.tobytes())
+    _write(path, b"P5", mask.astype(bool).astype(np.uint8) * 255)
 
 
 def read_gray(path) -> np.ndarray:
-    """PGM file to float [H, W] values in [0, 1]."""
-    values = _read(path, b"P5", 1).astype(np.float64)
-    values /= 255.0
-    return values
+    """PGM file to C-contiguous float64 [H, W] values in [0, 1]."""
+    return _scale(_read(path, b"P5", 1))
 
 
 def write_gray(path, values: np.ndarray) -> None:
-    """Float [H, W] values in [0, 1] to PGM, rounding half-up."""
+    """Float [H, W] values to PGM, clipped to [0, 1] and rounded half-up.
+
+    Raises PnmParseError on a NaN value, before the file is opened."""
     values = np.asarray(values)
     if values.ndim != 2:
         raise PnmParseError(f"{path}: expected 2-d values, got {values.shape}")
-    quantized = np.floor(np.clip(values, 0.0, 1.0) * 255.0 + 0.5)
-    quantized = np.clip(quantized, 0, 255).astype(np.uint8)
-    _write(path, b"P5", values.shape[1], values.shape[0], quantized.tobytes())
+    _write(path, b"P5", _quantize(path, values))
 
 
 def read_image(path) -> np.ndarray:
-    """PPM file to float [3, H, W] values in [0, 1]."""
-    raw = _read(path, b"P6", 3)
-    image = raw.transpose(2, 0, 1).astype(np.float64)
-    image /= 255.0
-    return image
+    """PPM file to C-contiguous float64 [3, H, W] values in [0, 1]."""
+    return _scale(_read(path, b"P6", 3).transpose(2, 0, 1))
 
 
 def write_image(path, image: np.ndarray) -> None:
-    """Float [3, H, W] values in [0, 1] to PPM."""
+    """Float [3, H, W] values to PPM, clipped to [0, 1] and rounded half-up.
+
+    Raises PnmParseError on a NaN value, before the file is opened."""
     image = np.asarray(image)
     if image.ndim != 3 or image.shape[0] != 3:
         raise PnmParseError(f"{path}: image must be [3,H,W], got {image.shape}")
-    quantized = np.floor(np.clip(image, 0.0, 1.0) * 255.0 + 0.5)
-    quantized = np.clip(quantized, 0, 255).astype(np.uint8)
-    payload = quantized.transpose(1, 2, 0).tobytes()
-    _write(path, b"P6", image.shape[2], image.shape[1], payload)
+    _write(path, b"P6", _quantize(path, image.transpose(1, 2, 0)))
 
 
-def _write(path, magic: bytes, width: int, height: int,
-           payload: bytes) -> None:
+def _scale(raw: np.ndarray) -> np.ndarray:
+    """Channel bytes over 255 in one pass, into a C-contiguous float64."""
+    return np.divide(raw, 255.0, out=np.empty(raw.shape))
+
+
+def _quantize(path, values: np.ndarray) -> np.ndarray:
+    """``floor(clip(values, 0, 1) * 255 + 0.5)`` as uint8, in the layout
+    of ``values``' axes (rows first, as the raster stores them).
+
+    Works through blocks of whole rows of about _BLOCK_BYTES each, so
+    every pass after the first reads and writes cache-resident data.
+    Each block computes in the dtype that the whole-array formula
+    computes in (float32 stays float32, integers become float64), so the
+    bytes are the same.  Clipping first leaves every level in [0, 255],
+    so the cast needs no second clip.
+    """
+    out = np.empty(values.shape, dtype=np.uint8)
+    dtype = np.result_type(values.dtype, 0.0)
+    height = values.shape[0]
+    row_bytes = dtype.itemsize * math.prod(values.shape[1:])
+    rows = max(1, _BLOCK_BYTES // max(1, row_bytes))
+    buf = np.empty((min(rows, height),) + values.shape[1:], dtype=dtype)
+    for r0 in range(0, height, rows):
+        r1 = min(r0 + rows, height)
+        block = buf[:r1 - r0]
+        np.clip(values[r0:r1], 0.0, 1.0, out=block)
+        # max propagates NaN, which clipping keeps and the cast would zero.
+        if np.isnan(block.max(initial=0.0)):
+            raise PnmParseError(f"{path}: NaN value in rows {r0}..{r1 - 1}")
+        block *= 255.0
+        block += 0.5
+        np.floor(block, out=block)
+        out[r0:r1] = block
+    return out
+
+
+def _write(path, magic: bytes, payload: np.ndarray) -> None:
+    """Header for a [H, W] or [H, W, 3] uint8 payload, then its bytes."""
+    height, width = payload.shape[:2]
     with open(Path(path), "wb") as f:
         f.write(magic + b"\n" + f"{width} {height}\n255\n".encode())
-        f.write(payload)
+        f.write(np.ascontiguousarray(payload).data)

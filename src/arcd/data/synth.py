@@ -6,10 +6,18 @@ appears or disappears with the configured probability; unchanged objects
 keep their color and position, and only the per-epoch noise differs.
 The ground truth marks exactly the pixels whose object occupancy differs
 between epochs.
+
+A sample is a pure function of (seed, index): one generator draws, in
+this order, the object count; for each placement try a kind and a box
+(height, width, top, left); a color for each kept box; the change coin
+flips; then each epoch's noise.  Footprints draw nothing, so only kept
+boxes get one (most tries fail the free-margin test), and objects are
+painted straight into the image; neither moves a draw or a byte.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +54,7 @@ class BiTemporalSample:
         if a.shape[1] % 32 or a.shape[2] % 32:
             raise DataError(f"sample: dims {a.shape[1]}x{a.shape[2]} must be "
                             f"divisible by 32")
-        if not np.isin(g, (0, 1)).all():
+        if not ((g == 0) | (g == 1)).all():
             raise DataError("sample: mask must be binary")
 
     @property
@@ -60,6 +68,15 @@ class BiTemporalSample:
 
 @dataclass(frozen=True)
 class SyntheticSceneSpec:
+    """Recipe for square scenes of side ``size``.
+
+    Each scene holds between ``n_objects[0]`` and ``n_objects[1]``
+    objects (fewer when placement gives up), each changes with
+    probability ``change_fraction``, and each epoch gets uniform noise of
+    half-width ``noise`` before clipping to [0, 1].  A bad field raises
+    DataError naming it.
+    """
+
     size: int = 64
     n_objects: tuple[int, int] = (2, 5)
     change_fraction: float = 0.5
@@ -67,10 +84,18 @@ class SyntheticSceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.size < 32:
+            raise DataError(f"scene size {self.size} must be at least 32")
         if self.size % 32:
             raise DataError(f"scene size {self.size} must be divisible by 32")
+        lo, hi = self.n_objects
+        if not 0 <= lo <= hi:
+            raise DataError(f"n_objects {tuple(self.n_objects)} must be "
+                            f"(lo, hi) with 0 <= lo <= hi")
         if not 0.0 <= self.change_fraction <= 1.0:
             raise DataError("change_fraction must be in [0, 1]")
+        if not (math.isfinite(self.noise) and self.noise >= 0.0):
+            raise DataError(f"noise {self.noise} must be finite and >= 0")
 
 
 @dataclass
@@ -82,23 +107,26 @@ class _SceneObject:
     in_t2: bool = True
 
 
-def _draw_footprint(rng: np.random.Generator, size: int,
-                    kind: str) -> tuple[np.ndarray, int, int]:
-    """A [h, w] footprint and the top-left corner of its box."""
+def _draw_box(rng: np.random.Generator,
+              size: int) -> tuple[int, int, int, int]:
+    """Height, width, top and left of a candidate box: four draws."""
     lo = max(size // 5, 6)
     hi = max(size // 2, lo + 2)
     h = int(rng.integers(lo, hi))
     w = int(rng.integers(lo, hi))
     top = int(rng.integers(0, size - h))
     left = int(rng.integers(0, size - w))
+    return h, w, top, left
+
+
+def _footprint(kind: str, h: int, w: int) -> np.ndarray:
+    """The [h, w] boolean footprint of a ``kind`` object; draws nothing."""
     if kind == "rectangle":
-        mask = np.ones((h, w), dtype=bool)
-    else:
-        # The ellipse inscribed in the box never leaves it.
-        ry, rx = h / 2.0, w / 2.0
-        yy, xx = np.mgrid[0:h, 0:w]
-        mask = ((yy + 0.5 - ry) / ry) ** 2 + ((xx + 0.5 - rx) / rx) ** 2 <= 1.0
-    return mask, top, left
+        return np.ones((h, w), dtype=bool)
+    # The ellipse inscribed in the box never leaves it.
+    ry, rx = h / 2.0, w / 2.0
+    yy, xx = np.ogrid[0:h, 0:w]
+    return ((yy + 0.5 - ry) / ry) ** 2 + ((xx + 0.5 - rx) / rx) ** 2 <= 1.0
 
 
 def _place_objects(rng: np.random.Generator,
@@ -112,28 +140,30 @@ def _place_objects(rng: np.random.Generator,
         # appearance-change; give up on an object after a few tries.
         for _ in range(30):
             kind = KINDS[int(rng.integers(len(KINDS)))]
-            mask, top, left = _draw_footprint(rng, spec.size, kind)
-            h, w = mask.shape
-            # The box plus a one-pixel margin must be free.
+            h, w, top, left = _draw_box(rng, spec.size)
+            # The box plus a one-pixel margin must be free.  Most tries
+            # fail here, so the footprint is built only for a kept box.
             margin = (slice(max(top - 1, 0), top + h + 1),
                       slice(max(left - 1, 0), left + w + 1))
             if not taken[margin].any():
                 taken[margin] = True
                 color = rng.uniform(0.05, 0.6, size=3)
                 box = (slice(top, top + h), slice(left, left + w))
-                objects.append(_SceneObject(box, mask, color))
+                objects.append(_SceneObject(box, _footprint(kind, h, w),
+                                            color))
                 break
     return objects
 
 
 def _render(objects: list[_SceneObject], epoch: int, size: int,
             noise: float, rng: np.random.Generator) -> np.ndarray:
+    """One epoch's [3, size, size] image, painted and noised in place."""
     img = np.full((3, size, size), BACKGROUND, dtype=np.float64)
     for obj in objects:
         present = obj.in_t1 if epoch == 1 else obj.in_t2
         if present:
-            rows, cols = obj.box
-            img[:, rows, cols][:, obj.footprint] = obj.color[:, None]
+            np.copyto(img[(slice(None),) + obj.box], obj.color[:, None, None],
+                      where=obj.footprint)
     if noise > 0.0:
         img += rng.uniform(-noise, noise, size=img.shape)
         np.clip(img, 0.0, 1.0, out=img)

@@ -65,6 +65,16 @@ class TestSynth:
                        "--size", "50") == 1
         assert "divisible by 32" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", [0, -32])
+    def test_size_below_32_rejected_naming_field(self, tmp_path, capsys,
+                                                 size):
+        out = tmp_path / "x"
+        assert run_cli("synth", "--out", out, "--count", "1",
+                       f"--size={size}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"size {size}" in err
+        assert not out.exists()
+
     def test_empty_dataset_rejected(self, tmp_path, capsys):
         out = tmp_path / "x"
         assert run_cli("synth", "--out", out, "--count", "0") == 1
