@@ -1,8 +1,11 @@
 """Bi-temporal change detection with pixel-wise uncertainty.
 
-Importing the package caps numeric worker threads (ARCD_THREADS,
-default 1) before numpy spins up BLAS pools, keeping runs reproducible.
-It warns when numpy came first, since the cap cannot hold then.
+Importing the package caps the BLAS threads (ARCD_THREADS, default 1)
+before numpy spins up its pools, keeping runs reproducible.  It warns
+when numpy came first, since the cap cannot hold then.  The cap is for
+BLAS only: a convolution large enough to split its columns over two
+threads (see ``arcd.autodiff.ops``) does so wherever the process may
+run on two CPUs, with the same output bits.
 """
 
 import os as _os

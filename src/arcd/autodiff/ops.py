@@ -18,6 +18,15 @@ kernel, stride 1, no padding: squeeze-excite, transitions, heads, gates
 and projections) skips the taps and the grid: it is one batched matmul
 [K,C] @ [N,C,H*W], and its adjoint two matmuls and a sum.
 
+A forward convolution whose output grid holds at least ``_SPLIT_BLOCKS``
+column blocks of 64K elements, when the process may run on two or more
+CPUs, computes its output columns in two contiguous halves: one on the
+calling thread, one on a helper thread started for the call.  Each
+column keeps the GEMMs and tap-sum order of the serial path, so outputs
+are bit-identical.  Smaller calls, adjoints and single-CPU processes run
+serially.  ``ARCD_THREADS`` caps BLAS threads only and does not select
+this path.
+
 Training-mode ``batch_norm`` can split its batch into equal leading
 groups, each normalized by its own statistics: the network runs the two
 epochs of a Siamese pair as one batch of 2N and keeps per-epoch
@@ -33,6 +42,8 @@ with closed-form adjoints; their target is a constant.
 
 from __future__ import annotations
 
+import os
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -246,6 +257,60 @@ def _unphase(buf: np.ndarray, s: int, p: int, n: int, h: int, w: int,
     return out
 
 
+# Grid elements per column block of the tap core: one block's tap
+# product and running sum stay in cache.
+_BLOCK = 1 << 16
+# A forward conv whose output grid holds at least this many blocks, four
+# per thread, splits its columns over two threads.  Below that the
+# hand-off weighs more (a one-block pointwise conv ran 1.5 to 2 times
+# slower split), and every map of a 256x256 input (at most 4.06 blocks)
+# and of a 4x64x64 training step (at most 2.3) stays serial.
+_SPLIT_BLOCKS = 8
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _splits(elements: int) -> bool:
+    """Whether an output of ``elements`` grid elements is split over two
+    threads."""
+    return elements >= _SPLIT_BLOCKS * _BLOCK and _usable_cpus() >= 2
+
+
+def _in_halves(fn, mid: int, end: int) -> None:
+    """Run ``fn(mid, end)`` on a helper thread and ``fn(0, mid)`` on this
+    one, with one hand-off, and return once both are done.
+
+    The halves write disjoint output columns and each column gets the
+    products and sums it gets serially, so the output keeps its bits.
+    An exception from either half reaches the caller as it was raised.
+    A thread per call, not a pool, leaves nothing for a forked child to
+    inherit; it costs about 0.1 ms, a tenth or less of a call big enough
+    to split."""
+    errors = []
+
+    def helper():
+        try:
+            fn(mid, end)
+        except BaseException as e:
+            errors.append(e)
+
+    thread = threading.Thread(target=helper, name="arcd-conv")
+    thread.start()
+    try:
+        fn(0, mid)
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _conv(name: str, x: Tensor, weight: Tensor, bias, s: int,
           p: int) -> Tensor:
     """The one convolution core: one GEMM per kernel tap, no patch matrix.
@@ -273,17 +338,26 @@ def _conv(name: str, x: Tensor, weight: Tensor, bias, s: int,
 
     xq = _phases(xd, s, p, hq, wq, slack)
     grid = np.empty((k, cols), dtype=np.result_type(xq, wtaps))
-    # Column blocks of 64K grid elements keep each tap's product and the
-    # running sum in cache; the first tap writes the block, later taps add.
-    step = max((1 << 16) // k, 1)
-    for a in range(0, cols, step):
-        g = grid[:, a:a + step]
-        for t, (wt, (ph, off)) in enumerate(zip(wtaps, taps)):
-            piece = xq[ph, :, a + off:a + off + g.shape[1]]
-            if t:
-                g += wt @ piece
-            else:
-                np.matmul(wt, piece, out=g)
+    # Column blocks of _BLOCK grid elements keep each tap's product and
+    # the running sum in cache; the first tap writes the block, later
+    # taps add.
+    step = max(_BLOCK // k, 1)
+
+    def tap_sums(lo, hi):
+        for a in range(lo, hi, step):
+            g = grid[:, a:a + step]
+            for t, (wt, (ph, off)) in enumerate(zip(wtaps, taps)):
+                piece = xq[ph, :, a + off:a + off + g.shape[1]]
+                if t:
+                    g += wt @ piece
+                else:
+                    np.matmul(wt, piece, out=g)
+
+    if _splits(k * cols):
+        blocks = -(-cols // step)
+        _in_halves(tap_sums, step * (blocks // 2), cols)
+    else:
+        tap_sums(0, cols)
     del xq
     if n == 1:
         # The output is a view of the grid's top-left corner; the grid
@@ -325,7 +399,15 @@ def _pointwise(name: str, x: Tensor, weight: Tensor, bias) -> Tensor:
     h, w = x.shape[-2:]
     xd = x.data.reshape(n, -1, h * w)
     wd = weight.data.reshape(k, -1)
-    out_d = np.matmul(wd, xd)
+    if _splits(k * n * h * w):
+        out_d = np.empty((n, k, h * w), dtype=np.result_type(wd, xd))
+
+        def columns(lo, hi):
+            np.matmul(wd, xd[:, :, lo:hi], out=out_d[:, :, lo:hi])
+
+        _in_halves(columns, h * w // 2, h * w)
+    else:
+        out_d = np.matmul(wd, xd)
     if bias is not None:
         out_d += bias.data[:, None]
     out = Tensor(out_d.reshape((n, k) + (1,) * (x.ndim - 4) + (h, w)))
@@ -501,8 +583,10 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _bilinear_matrix(factor: int, size: int) -> np.ndarray:
-    """Dense [size*factor, size] interpolation operator, half-pixel centers."""
+def _bilinear_matrix(factor: int, size: int, dtype: np.dtype) -> np.ndarray:
+    """Dense [size*factor, size] interpolation operator, half-pixel
+    centers: float64 weights cast to ``dtype``, read-only since every
+    call with these arguments shares it."""
     out_size = size * factor
     mat = np.zeros((out_size, size), dtype=np.float64)
     for o in range(out_size):
@@ -513,6 +597,8 @@ def _bilinear_matrix(factor: int, size: int) -> np.ndarray:
         f = s - i0
         mat[o, i0] += 1.0 - f
         mat[o, i1] += f
+    mat = mat.astype(dtype)
+    mat.flags.writeable = False
     return mat
 
 
@@ -524,8 +610,8 @@ def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
     if factor < 1:
         raise ShapeError("upsample_bilinear: factor must be a positive "
                          "integer")
-    uh = _bilinear_matrix(factor, x.shape[2]).astype(x.dtype)
-    uw = _bilinear_matrix(factor, x.shape[3]).astype(x.dtype)
+    uh = _bilinear_matrix(factor, x.shape[2], x.dtype)
+    uw = _bilinear_matrix(factor, x.shape[3], x.dtype)
     # Separable linear operator: rows then columns, both as contractions.
     y = np.tensordot(x.data, uh, axes=(2, 1)).transpose(0, 1, 3, 2)
     y = np.tensordot(y, uw, axes=(3, 1))

@@ -408,6 +408,51 @@ class TestFullNetwork:
         digest = hashlib.sha256(change.tobytes() + unc.tobytes()).hexdigest()
         assert digest == self.PREDICT_SHA256[dtype]
 
+    def test_predict_bits_unchanged_by_two_thread_convs(self, monkeypatch):
+        # At 512^2 the stems and the stride-2 maps split their columns.
+        monkeypatch.setattr(ops, "_usable_cpus", lambda: 2)
+        splits = []
+        in_halves = ops._in_halves
+
+        def logged(fn, mid, end):
+            splits.append(end)
+            in_halves(fn, mid, end)
+
+        monkeypatch.setattr(ops, "_in_halves", logged)
+        model = ChangeDetector(seed=5, dtype=np.float32)
+        img1, img2 = np.random.default_rng(512).uniform(0.0, 1.0,
+                                                        (2, 3, 512, 512))
+
+        def digest():
+            change, unc = predict(model, img1, img2)
+            return hashlib.sha256(change.tobytes() + unc.tobytes()).digest()
+
+        threaded = digest()
+        assert len(splits) >= 4
+        monkeypatch.setattr(ops, "_splits", lambda elements: False)
+        assert digest() == threaded
+
+    @pytest.mark.parametrize("size,n,training", [(256, 1, False),
+                                                 (64, 4, True)])
+    def test_small_maps_stay_serial(self, monkeypatch, size, n, training):
+        # Every map of a 256^2 input and of a 4x64^2 training step is
+        # below the gate, even where two CPUs are free.
+        def no_split(*args):
+            raise AssertionError("a small conv split its columns")
+
+        monkeypatch.setattr(ops, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(ops, "_in_halves", no_split)
+        model = ChangeDetector(seed=0, dtype=np.float32)
+        t1, t2 = rand_images(np.random.default_rng(3), n=n, size=size,
+                             dtype=np.float32)
+        if training:
+            bundle = model(t1, t2)
+            g = np.zeros((n, 1, size, size), dtype=np.float32)
+            backward(total_loss(bundle.side_probs(), bundle.change,
+                                bundle.uncertainty, g, model.cfg).total)
+        else:
+            predict(model, t1.data[0], t2.data[0])
+
     @staticmethod
     def _batches_seen(monkeypatch):
         """Wrap every primitive to log the batch size of each activation

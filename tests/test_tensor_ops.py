@@ -1,6 +1,10 @@
 """Forward-path checks of the tensor primitives against independent oracles."""
 
+import multiprocessing
+import os
 import struct
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -291,6 +295,156 @@ class TestSingleSampleConv:
                    / np.sqrt(var.reshape(bshape) + 1e-5)
                    + beta.reshape(bshape))
             assert np.abs(z.data - ref).max() < 1e-12
+
+
+def split_calls(monkeypatch):
+    """Let convolutions split as on a host with two CPUs; return the list
+    that logs the (mid, end) of each split."""
+    monkeypatch.setattr(ops, "_usable_cpus", lambda: 2)
+    calls = []
+    in_halves = ops._in_halves
+
+    def logged(fn, mid, end):
+        calls.append((mid, end))
+        in_halves(fn, mid, end)
+
+    monkeypatch.setattr(ops, "_in_halves", logged)
+    return calls
+
+
+# (op, input shape at N = 1, weight shape, stride, padding): each output
+# grid holds at least _SPLIT_BLOCKS column blocks at N = 1.
+GATED_CONVS = {
+    "3x3": ("conv2d", (1, 8, 190, 190), (16, 8, 3, 3), 1, 1),
+    "stem": ("conv2d", (1, 3, 361, 361), (16, 3, 3, 3), 2, 1),
+    "conv3d": ("conv3d", (1, 8, 2, 190, 190), (16, 8, 2, 3, 3), 1,
+               (0, 1, 1)),
+    "pointwise": ("conv2d", (1, 16, 183, 183), (16, 16, 1, 1), 1, 0),
+}
+
+
+def gated_conv(case, n, dtype):
+    """Output bytes of GATED_CONVS[case] at batch size n."""
+    op, xs, ws, stride, padding = GATED_CONVS[case]
+    rng = np.random.default_rng(60 + n)
+    x = Tensor(rng.standard_normal((n,) + xs[1:]).astype(dtype))
+    w = Tensor(rng.standard_normal(ws).astype(dtype))
+    b = Tensor(rng.standard_normal(ws[0]).astype(dtype))
+    if op == "conv3d":
+        y = ops.conv3d(x, w, b, padding=padding)
+    else:
+        y = ops.conv2d(x, w, b, stride=stride, padding=padding)
+    assert y.dtype == dtype
+    return y.data.tobytes()
+
+
+def in_fork_child(task, timeout=30.0):
+    """Run ``task()`` in a fork-context child and return what it returns,
+    or None if it did not answer within ``timeout`` seconds."""
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+
+    def child():
+        send.send(task())
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    send.close()
+    try:
+        return recv.recv() if recv.poll(timeout) else None
+    finally:
+        proc.join(5.0)
+        if proc.is_alive():
+            proc.kill()
+            proc.join(5.0)
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs the fork start method")
+
+
+class TestTwoThreadConv:
+    """A convolution whose output grid holds _SPLIT_BLOCKS column blocks or
+    more computes its two column halves on two threads, with the bytes
+    of the serial path; everything smaller stays serial."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("case", sorted(GATED_CONVS))
+    def test_split_output_is_the_serial_bytes(self, monkeypatch, case, n,
+                                              dtype):
+        calls = split_calls(monkeypatch)
+        threaded = gated_conv(case, n, dtype)
+        assert len(calls) == 1
+        mid, end = calls[0]
+        assert 0 < mid < end
+        monkeypatch.setattr(ops, "_splits", lambda elements: False)
+        assert gated_conv(case, n, dtype) == threaded
+        assert len(calls) == 1
+
+    def test_below_the_gate_or_on_one_cpu_stays_serial(self, monkeypatch):
+        calls = split_calls(monkeypatch)
+        # One column block short of the gate: 16 x 181 x 181 < 8 x 64K.
+        x = Tensor(np.ones((1, 16, 181, 181), dtype=np.float32))
+        w = Tensor(np.ones((16, 16, 1, 1), dtype=np.float32))
+        ops.conv2d(x, w, None)
+        assert calls == []
+        monkeypatch.setattr(ops, "_usable_cpus", lambda: 1)
+        gated_conv("3x3", 1, np.float32)
+        assert calls == []
+
+    def test_cpu_count_falls_back_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert ops._usable_cpus() == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_exception_reaches_the_caller_after_both_halves(self, failing):
+        err = ValueError(f"{failing} half")
+        finished = []
+
+        def fn(lo, hi):
+            if (lo > 0) == (failing == "helper"):
+                raise err
+            time.sleep(0.05)
+            finished.append((lo, hi))
+
+        with pytest.raises(ValueError) as info:
+            ops._in_halves(fn, 3, 7)
+        assert info.value is err
+        assert finished == ([(0, 3)] if failing == "helper" else [(3, 7)])
+        assert "arcd-conv" not in {t.name for t in threading.enumerate()}
+
+    @needs_fork
+    def test_forked_child_runs_a_gated_conv(self, monkeypatch):
+        calls = split_calls(monkeypatch)
+        want = gated_conv("3x3", 1, np.float32)
+        assert len(calls) == 1
+
+        def child():
+            return gated_conv("3x3", 1, np.float32), len(calls)
+
+        assert in_fork_child(child) == (want, 2)
+
+    @needs_fork
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs CPU affinity")
+    def test_child_pinned_to_one_cpu_starts_no_helper_thread(self):
+        serial = gated_conv("3x3", 1, np.float32)
+
+        def child():
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            started = []
+            start = threading.Thread.start
+
+            def logged(thread):
+                started.append(thread.name)
+                start(thread)
+
+            threading.Thread.start = logged
+            return gated_conv("3x3", 1, np.float32), started
+
+        assert in_fork_child(child) == (serial, [])
 
 
 class TestBatchNorm:
@@ -590,6 +744,19 @@ class TestUpsample:
                 want[i, j] = (weights[i, 0] * weights[j, 0]
                               + weights[i, 1] * weights[j, 1])
         assert np.abs(y.data[0, 0] - want).max() < 1e-15
+
+    def test_operator_cached_per_dtype(self):
+        ops._bilinear_matrix.cache_clear()
+        ops.upsample_bilinear(Tensor(np.ones((1, 1, 3, 5))), 2)
+        ops.upsample_bilinear(Tensor(np.ones((1, 1, 3, 5))), 2)
+        ops.upsample_bilinear(Tensor(np.ones((1, 1, 3, 5),
+                                             dtype=np.float32)), 2)
+        info = ops._bilinear_matrix.cache_info()
+        assert (info.misses, info.hits) == (4, 2)
+        wide = ops._bilinear_matrix(2, 5, np.dtype(np.float64))
+        narrow = ops._bilinear_matrix(2, 5, np.dtype(np.float32))
+        assert narrow.dtype == np.float32 and not narrow.flags.writeable
+        assert np.array_equal(narrow, wide.astype(np.float32))
 
     def test_bilinear_preserves_constants(self):
         x = Tensor(np.full((1, 2, 3, 3), 0.7))
