@@ -13,19 +13,30 @@ adjoint rebuilds the phases instead of keeping them alive until backward.
 no time padding, equal spatial padding), the one case the network uses,
 which is ``conv2d`` with time folded into channels.  At batch size 1 a
 convolution's output is a strided view of the top-left corner of its
-output grid rather than a cropped copy.  A pointwise convolution (1x1
+output grid rather than a cropped copy; the bias adds to each column
+block of the grid after its last tap.  A pointwise convolution (1x1
 kernel, stride 1, no padding: squeeze-excite, transitions, heads, gates
-and projections) skips the taps and the grid: it is one batched matmul
-[K,C] @ [N,C,H*W], and its adjoint two matmuls and a sum.
+and projections) skips the taps and the grid: it is a batched matmul
+[K,C] @ [N,C,cols] per column block, and its adjoint two matmuls and a
+sum.
 
-A forward convolution whose output grid holds at least ``_SPLIT_BLOCKS``
-column blocks of 64K elements, when the process may run on two or more
-CPUs, computes its output columns in two contiguous halves: one on the
-calling thread, one on a helper thread started for the call.  Each
-column keeps the GEMMs and tap-sum order of the serial path, so outputs
-are bit-identical.  Smaller calls, adjoints and single-CPU processes run
-serially.  ``ARCD_THREADS`` caps BLAS threads only and does not select
-this path.
+One gate, ``_splits``, decides whether a forward output is computed on
+two threads: it must hold at least ``_SPLIT_BLOCKS`` blocks of 64K
+elements, and the process must be allowed to run on two or more CPUs.
+The calling thread and a helper thread started for the call then take
+blocks from one shared counter: a convolution's phase copies (channel
+ranges) and column blocks, and the row blocks of ``relu``, ``sigmoid``,
+``add``, ``mul``, ``concat``, ``stack_time`` and an unrecorded
+``batch_norm``.  Each block runs the serial path's operations on its
+elements (the same GEMM calls and tap order, the same elementwise steps
+in the same order), so outputs are bit-identical.  The large maps of a
+1024x1024 inference pass the gate; no map of a 256x256 input or of a
+4x64x64 training step does.  Reductions (``global_avg_pool``,
+training batch-norm statistics, the losses, ``sum_all``), every adjoint
+and ``upsample_bilinear`` stay serial: how a sum or a BLAS contraction
+is cut decides its rounding, and a channel split of the upsampling
+contraction gave other float64 bytes.  ``ARCD_THREADS`` caps BLAS
+threads only and does not select this path.
 
 Training-mode ``batch_norm`` can split its batch into equal leading
 groups, each normalized by its own statistics: the network runs the two
@@ -33,8 +44,9 @@ epochs of a Siamese pair as one batch of 2N and keeps per-epoch
 statistics that way.
 
 An output that will not be recorded keeps no buffer for an adjoint:
-``batch_norm`` then finishes it in the buffer that holds the normalized
-input, and ``sigmoid`` reuses its intermediates, with the same values.
+``batch_norm`` then takes each block from input to output in one buffer
+(minus the mean, times the inverse deviation, times gamma, plus beta),
+and ``sigmoid`` reuses its intermediates, with the same values.
 
 The two training losses, ``bce`` and ``dice``, are single primitives
 with closed-form adjoints; their target is a constant.
@@ -42,8 +54,10 @@ with closed-form adjoints; their target is a constant.
 
 from __future__ import annotations
 
+import _thread
+import itertools
+import math
 import os
-import threading
 from functools import lru_cache
 
 import numpy as np
@@ -57,6 +71,127 @@ __all__ = [
     "stack_time", "reshape", "conv2d", "conv3d", "batch_norm",
     "upsample_bilinear", "global_avg_pool", "sum_all", "bce", "dice",
 ]
+
+
+# ---------------------------------------------------------------------------
+# Two-thread work sharing for large outputs
+# ---------------------------------------------------------------------------
+
+# Elements per work block: a conv's column block (one block's tap
+# product and running sum stay in cache) or a channel range of a phase
+# buffer.
+_BLOCK = 1 << 16
+# Elements per row block of an elementwise op.  Each numpy call in a
+# block takes the GIL back from the other thread, and at _BLOCK elements
+# those hand-offs cost about what the arithmetic saves: the elementwise
+# ops of a 1024x1024 pair ran 17 % faster split at _BLOCK elements per
+# block and 29 % at four times that.
+_ROW_BLOCK = 4 * _BLOCK
+# An output of at least this many blocks, four per thread, is split over
+# two threads.  Below that the hand-off weighs more (a one-block
+# pointwise conv ran 1.5 to 2 times slower split), and every map of a
+# 256x256 input (at most 4.06 blocks) and of a 4x64x64 training step (at
+# most 2.3) stays serial.
+_SPLIT_BLOCKS = 8
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _splits(elements: int) -> bool:
+    """Whether an output of ``elements`` elements is split over two
+    threads."""
+    return elements >= _SPLIT_BLOCKS * _BLOCK and _usable_cpus() >= 2
+
+
+def _share(fn, blocks: int) -> None:
+    """Run ``fn(i)`` for every i in range(blocks) on this thread and on a
+    helper thread started for the call, and return once both are done.
+
+    Each thread takes the next block index from one shared counter until
+    the blocks run out, so the thread that starts late or runs slow
+    takes fewer.  Blocks write disjoint outputs, each with the
+    operations it gets serially, so the output keeps its bits.  After a
+    block fails neither thread takes another; the first exception then
+    reaches the caller as it was raised.  A thread per call, not a pool,
+    leaves nothing for a forked child to inherit.
+
+    The helper takes its first block about 0.47 ms after it is started
+    (median on a 2-core host whose idle CPU wakes slowly), so the caller
+    does not wait for it to start, as ``threading.Thread.start`` would:
+    it begins on the blocks at once and waits only for the helper's
+    last block."""
+    take = itertools.count().__next__
+    errors = []
+    done = _thread.allocate_lock()
+
+    def work():
+        try:
+            while not errors:
+                i = take()
+                if i >= blocks:
+                    return
+                fn(i)
+        except BaseException as e:
+            errors.append(e)
+
+    def helper():
+        try:
+            work()
+        finally:
+            done.release()
+
+    done.acquire()
+    _thread.start_new_thread(helper, ())
+    try:
+        work()
+    finally:
+        done.acquire()
+    if errors:
+        raise errors[0]
+
+
+def _blocks(fn, blocks: int, split: bool) -> None:
+    """``fn(i)`` for every i in range(blocks): shared over two threads
+    when ``split``, else in order on this one."""
+    if split:
+        _share(fn, blocks)
+    else:
+        for i in range(blocks):
+            fn(i)
+
+
+def _by_rows(fn, shape) -> None:
+    """Cover an array of ``shape`` with ``fn(index)`` calls.
+
+    Below the gate this is one call with ``...``; above it, one call per
+    block of rows of axis -2 (about ``_ROW_BLOCK`` elements each), shared
+    over two threads.  Rows keep every axis but one whole, so operands
+    that broadcast along axis -2 apply to each block unsliced."""
+    size = math.prod(shape)
+    if len(shape) < 2 or not _splits(size):
+        fn(...)
+        return
+    h = shape[-2]
+    rows = max(_ROW_BLOCK * h // size, 1)
+    _share(lambda i: fn((..., slice(i * rows, (i + 1) * rows), slice(None))),
+           -(-h // rows))
+
+
+def _binary(ufunc, a: np.ndarray, b) -> np.ndarray:
+    """``ufunc(a, b)`` into a new array of ``a``'s shape, by row blocks;
+    ``b`` is a scalar or an array that broadcasts to ``a``'s shape."""
+    out = np.empty(a.shape, np.result_type(a, b))
+    rowwise = np.ndim(b) >= 2 and b.shape[-2] > 1
+    _by_rows(lambda ix: ufunc(a[ix], b[ix] if rowwise else b, out=out[ix]),
+             a.shape)
+    return out
 
 
 def _binary_operands(name, a, b):
@@ -76,7 +211,7 @@ def add(a, b) -> Tensor:
     """Elementwise a + b."""
     if isinstance(a, Tensor) and isinstance(b, Tensor):
         same_shape("add", a, b)
-        out = Tensor(a.data + b.data)
+        out = Tensor(_binary(np.add, a.data, b.data))
 
         def adjoint(g):
             accumulate(a, g)
@@ -84,7 +219,7 @@ def add(a, b) -> Tensor:
 
         return record("add", (a, b), out, adjoint)
     t, _, s = _binary_operands("add", a, b)
-    out = Tensor(t.data + t.data.dtype.type(s))
+    out = Tensor(_binary(np.add, t.data, t.data.dtype.type(s)))
     return record("add", (t,), out, lambda g: accumulate(t, g))
 
 
@@ -103,7 +238,7 @@ def mul(a, b) -> Tensor:
                              f"size-1 axes")
         axes = tuple(ax for ax, (n, m) in enumerate(zip(a.shape, b.shape))
                      if m != n)
-        out = Tensor(a.data * b.data)
+        out = Tensor(_binary(np.multiply, a.data, b.data))
 
         def adjoint(g):
             accumulate(a, g * b.data)
@@ -113,7 +248,7 @@ def mul(a, b) -> Tensor:
         return record("mul", (a, b), out, adjoint)
     t, _, s = _binary_operands("mul", a, b)
     s = t.data.dtype.type(s)
-    out = Tensor(t.data * s)
+    out = Tensor(_binary(np.multiply, t.data, s))
     return record("mul", (t,), out, lambda g: accumulate(t, g * s))
 
 
@@ -129,7 +264,7 @@ def relu(x: Tensor) -> Tensor:
     if kinks_active():
         note_kink(x.data > 0.0,
                   float(np.abs(x.data).min()) if x.size else np.inf)
-    out = Tensor(np.maximum(x.data, 0.0))
+    out = Tensor(_binary(np.maximum, x.data, 0.0))
     return record("relu", (x,), out,
                   lambda g: accumulate(x, g * (x.data > 0.0)))
 
@@ -137,13 +272,19 @@ def relu(x: Tensor) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     """Logistic function, overflow-safe for large |x|."""
     d = np.atleast_1d(x.data)
-    e = np.abs(d)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    den = 1.0 + e
-    y = 1.0 / den
-    np.divide(e, den, out=e)
-    np.copyto(y, e, where=d < 0)
+    y = np.empty(d.shape, d.dtype)
+
+    def block(ix):
+        db, yb = d[ix], y[ix]
+        e = np.abs(db)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        den = 1.0 + e
+        np.divide(1.0, den, out=yb)
+        np.divide(e, den, out=e)
+        np.copyto(yb, e, where=db < 0)
+
+    _by_rows(block, d.shape)
     y = y.reshape(x.shape)
     out = Tensor(y)
     return record("sigmoid", (x,), out,
@@ -156,6 +297,9 @@ def concat(parts, axis: int) -> Tensor:
     if not parts:
         raise ShapeError("concat: need at least one tensor")
     nd = parts[0].ndim
+    if not -nd <= axis < nd:
+        raise ShapeError(f"concat: axis {axis} out of range for rank {nd}")
+    axis %= nd
     for p in parts[1:]:
         if p.ndim != nd:
             raise ShapeError("concat: rank mismatch")
@@ -164,8 +308,20 @@ def concat(parts, axis: int) -> Tensor:
                 raise ShapeError(
                     f"concat: shapes differ on axis {ax}: "
                     f"{parts[0].shape} vs {p.shape}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    offsets = np.cumsum([p.shape[axis] for p in parts])[:-1]
+    datas = [p.data for p in parts]
+    sizes = [p.shape[axis] for p in parts]
+    shape = parts[0].shape[:axis] + (sum(sizes),) + parts[0].shape[axis + 1:]
+    out_d = np.empty(shape, np.result_type(*datas))
+
+    def block(ix):
+        np.concatenate([d[ix] for d in datas], axis=axis, out=out_d[ix])
+
+    if axis == nd - 2:      # row blocks would cut across the parts
+        block(...)
+    else:
+        _by_rows(block, shape)
+    out = Tensor(out_d)
+    offsets = np.cumsum(sizes)[:-1]
 
     def adjoint(g):
         for p, piece in zip(parts, np.split(g, offsets, axis=axis)):
@@ -197,7 +353,15 @@ def stack_time(a: Tensor, b: Tensor) -> Tensor:
     same_shape("stack_time", a, b)
     if a.ndim != 4:
         raise ShapeError(f"stack_time: expected rank-4 inputs, got {a.shape}")
-    out = Tensor(np.stack([a.data, b.data], axis=2))
+    n, c, h, w = a.shape
+    out_d = np.empty((n, c, 2, h, w), np.result_type(a.data, b.data))
+
+    def block(ix):
+        out_d[:, :, 0][ix] = a.data[ix]
+        out_d[:, :, 1][ix] = b.data[ix]
+
+    _by_rows(block, a.shape)
+    out = Tensor(out_d)
 
     def adjoint(g):
         accumulate(a, g[:, :, 0])
@@ -235,14 +399,24 @@ def _phase_map(s: int, p: int, h: int, w: int):
 
 
 def _phases(a: np.ndarray, s: int, p: int, hq: int, wq: int,
-            slack: int = 0) -> np.ndarray:
+            slack: int = 0, split: bool = False) -> np.ndarray:
     """[N, C, H, W] -> [s*s, C, N*hq*wq + slack], the stride phases of
-    ``a`` zero-padded by p."""
+    ``a`` zero-padded by p.  With ``split`` each phase is copied in
+    channel ranges of about ``_BLOCK`` elements, shared over two
+    threads; else one copy per phase."""
     n, c, h, w = a.shape
     buf = np.zeros((s * s, c, n * hq * wq + slack), dtype=a.dtype)
     grid = buf[:, :, :n * hq * wq].reshape(s * s, c, n, hq, wq)
-    for ph, src, dst in _phase_map(s, p, h, w):
-        grid[ph][dst] = a[src].swapaxes(0, 1)
+    maps = list(_phase_map(s, p, h, w))
+    chans = max(_BLOCK // (n * hq * wq), 1) if split else c
+    ranges = -(-c // chans)
+
+    def block(i):
+        ph, src, dst = maps[i // ranges]
+        ch = slice(i % ranges * chans, (i % ranges + 1) * chans)
+        grid[ph, ch][dst] = a[:, ch][src].swapaxes(0, 1)
+
+    _blocks(block, len(maps) * ranges, split)
     return buf
 
 
@@ -255,60 +429,6 @@ def _unphase(buf: np.ndarray, s: int, p: int, n: int, h: int, w: int,
     for ph, src, dst in _phase_map(s, p, h, w):
         out[src] = grid[ph][dst].swapaxes(0, 1)
     return out
-
-
-# Grid elements per column block of the tap core: one block's tap
-# product and running sum stay in cache.
-_BLOCK = 1 << 16
-# A forward conv whose output grid holds at least this many blocks, four
-# per thread, splits its columns over two threads.  Below that the
-# hand-off weighs more (a one-block pointwise conv ran 1.5 to 2 times
-# slower split), and every map of a 256x256 input (at most 4.06 blocks)
-# and of a 4x64x64 training step (at most 2.3) stays serial.
-_SPLIT_BLOCKS = 8
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else the machine's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _splits(elements: int) -> bool:
-    """Whether an output of ``elements`` grid elements is split over two
-    threads."""
-    return elements >= _SPLIT_BLOCKS * _BLOCK and _usable_cpus() >= 2
-
-
-def _in_halves(fn, mid: int, end: int) -> None:
-    """Run ``fn(mid, end)`` on a helper thread and ``fn(0, mid)`` on this
-    one, with one hand-off, and return once both are done.
-
-    The halves write disjoint output columns and each column gets the
-    products and sums it gets serially, so the output keeps its bits.
-    An exception from either half reaches the caller as it was raised.
-    A thread per call, not a pool, leaves nothing for a forked child to
-    inherit; it costs about 0.1 ms, a tenth or less of a call big enough
-    to split."""
-    errors = []
-
-    def helper():
-        try:
-            fn(mid, end)
-        except BaseException as e:
-            errors.append(e)
-
-    thread = threading.Thread(target=helper, name="arcd-conv")
-    thread.start()
-    try:
-        fn(0, mid)
-    finally:
-        thread.join()
-    if errors:
-        raise errors[0]
 
 
 def _conv(name: str, x: Tensor, weight: Tensor, bias, s: int,
@@ -336,37 +456,34 @@ def _conv(name: str, x: Tensor, weight: Tensor, bias, s: int,
     slack = taps[-1][1]
     wtaps = np.moveaxis(weight.data.reshape(k, c, kh * kw), 2, 0).copy()
 
-    xq = _phases(xd, s, p, hq, wq, slack)
+    split = _splits(k * cols)
+    xq = _phases(xd, s, p, hq, wq, slack, split)
     grid = np.empty((k, cols), dtype=np.result_type(xq, wtaps))
+    bias_d = None if bias is None else bias.data[:, None]
     # Column blocks of _BLOCK grid elements keep each tap's product and
     # the running sum in cache; the first tap writes the block, later
-    # taps add.
+    # taps add, and the bias adds last.
     step = max(_BLOCK // k, 1)
 
-    def tap_sums(lo, hi):
-        for a in range(lo, hi, step):
-            g = grid[:, a:a + step]
-            for t, (wt, (ph, off)) in enumerate(zip(wtaps, taps)):
-                piece = xq[ph, :, a + off:a + off + g.shape[1]]
-                if t:
-                    g += wt @ piece
-                else:
-                    np.matmul(wt, piece, out=g)
+    def tap_sums(i):
+        a = i * step
+        g = grid[:, a:a + step]
+        for t, (wt, (ph, off)) in enumerate(zip(wtaps, taps)):
+            piece = xq[ph, :, a + off:a + off + g.shape[1]]
+            if t:
+                g += wt @ piece
+            else:
+                np.matmul(wt, piece, out=g)
+        if bias_d is not None:
+            g += bias_d
 
-    if _splits(k * cols):
-        blocks = -(-cols // step)
-        _in_halves(tap_sums, step * (blocks // 2), cols)
-    else:
-        tap_sums(0, cols)
+    _blocks(tap_sums, -(-cols // step), split)
     del xq
     if n == 1:
-        # The output is a view of the grid's top-left corner; the grid
-        # is this output's own buffer, so the bias may add in place.
+        # The output is a view of the grid's top-left corner.
         out_d = grid.reshape(1, k, hq, wq)[:, :, :ho, :wo]
     else:
         out_d = _unphase(grid[None], 1, 0, n, ho, wo, hq, wq)
-    if bias is not None:
-        out_d += bias.data[:, None, None]
     out = Tensor(out_d.reshape((n, k) + (1,) * (x.ndim - 4) + (ho, wo)))
     inputs = (x, weight) if bias is None else (x, weight, bias)
 
@@ -393,23 +510,25 @@ def _conv(name: str, x: Tensor, weight: Tensor, bias, s: int,
 
 
 def _pointwise(name: str, x: Tensor, weight: Tensor, bias) -> Tensor:
-    """``_conv`` for a 1x1 kernel at stride 1 without padding: one
-    batched matmul [K, C] @ [N, C, H*W], no taps, phases or grid."""
+    """``_conv`` for a 1x1 kernel at stride 1 without padding: batched
+    matmuls [K, C] @ [N, C, cols] over the same column blocks as the tap
+    core, no taps, phases or grid."""
     n, k = x.shape[0], weight.shape[0]
     h, w = x.shape[-2:]
     xd = x.data.reshape(n, -1, h * w)
     wd = weight.data.reshape(k, -1)
-    if _splits(k * n * h * w):
-        out_d = np.empty((n, k, h * w), dtype=np.result_type(wd, xd))
+    out_d = np.empty((n, k, h * w), dtype=np.result_type(wd, xd))
+    bias_d = None if bias is None else bias.data[:, None]
+    step = max(_BLOCK // k, 1)
 
-        def columns(lo, hi):
-            np.matmul(wd, xd[:, :, lo:hi], out=out_d[:, :, lo:hi])
+    def columns(i):
+        cols = slice(i * step, (i + 1) * step)
+        o = out_d[:, :, cols]
+        np.matmul(wd, xd[:, :, cols], out=o)
+        if bias_d is not None:
+            o += bias_d
 
-        _in_halves(columns, h * w // 2, h * w)
-    else:
-        out_d = np.matmul(wd, xd)
-    if bias is not None:
-        out_d += bias.data[:, None]
+    _blocks(columns, -(-(h * w) // step), _splits(k * n * h * w))
     out = Tensor(out_d.reshape((n, k) + (1,) * (x.ndim - 4) + (h, w)))
     inputs = (x, weight) if bias is None else (x, weight, bias)
 
@@ -547,17 +666,30 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         var = running_var.astype(x.dtype, copy=False)
 
     istd = (1.0 / np.sqrt(var + x.data.dtype.type(eps))).reshape(sshape)
-    xhat = xg - mu.reshape(sshape)
-    xhat *= istd
-    xhat = xhat.reshape(x.shape)
+    mu = mu.reshape(sshape)
     bshape = (1, c) + (1,) * (x.ndim - 2)
+    scale, shift = gamma.data.reshape(bshape), beta.data.reshape(bshape)
     if will_record((x, gamma, beta)):
-        y = gamma.data.reshape(bshape) * xhat
+        xhat = xg - mu
+        xhat *= istd
+        xhat = xhat.reshape(x.shape)
+        y = scale * xhat
+        y += shift
     else:
-        # Nothing keeps xhat for an adjoint: finish the output in it.
-        y, xhat = xhat, None
-        y *= gamma.data.reshape(bshape)
-    y += beta.data.reshape(bshape)
+        # Nothing keeps xhat for an adjoint: each block of rows goes
+        # -mean, *istd, *gamma, +beta in the output buffer.
+        xhat = None
+        y = np.empty(split, np.result_type(xg, mu))
+
+        def normalize(ix):
+            yb = y[ix]
+            np.subtract(xg[ix], mu, out=yb)
+            yb *= istd
+            yb *= scale
+            yb += shift
+
+        _by_rows(normalize, split)
+        y = y.reshape(x.shape)
     out = Tensor(y)
 
     def adjoint(g):
@@ -565,7 +697,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         accumulate(gamma, (g * xhat).sum(axis=axes))
         if not x.requires_grad:
             return
-        dxhat = (g * gamma.data.reshape(bshape)).reshape(split)
+        dxhat = (g * scale).reshape(split)
         if training:
             xh = xhat.reshape(split)
             s1 = dxhat.sum(axis=gaxes).reshape(sshape)

@@ -371,12 +371,17 @@ class ReviewBlock(Module):
 
     def forward(self, d_low: Tensor, d_high: Tensor, p_low: Tensor,
                 p_high: Tensor) -> tuple[Tensor, Tensor]:
-        """Returns the refined features and the new prediction LOGITS."""
+        """Returns the refined features and the new prediction LOGITS.
+
+        Only the attention branches read ``p_high``; a block with neither
+        takes None for it."""
         if d_low.shape[2] % d_high.shape[2]:
             raise ShapeError(f"review block: coarse map {d_high.shape} does "
                              f"not divide fine map {d_low.shape} spatially")
         factor = d_low.shape[2] // d_high.shape[2]
-        p_up = ops.upsample_bilinear(p_high, factor) if factor > 1 else p_high
+        p_up = p_high
+        if factor > 1 and (self.use_conflict or self.use_reverse):
+            p_up = ops.upsample_bilinear(p_high, factor)
         k1, k2, k3 = (self._transition(t, d_low, d_high, factor)
                       for t in (self.trans1, self.trans2, self.trans3))
 
@@ -477,16 +482,25 @@ class ChangeDetector(Module):
         diffs = [diff(a, b) for diff, a, b in zip(self.diffs, dec1, dec2)]
         del dec1, dec2
         logits = [head(d) for head, d in zip(self.level_heads, diffs)]
-        probs = [ops.sigmoid(lg) for lg in logits]
 
         refined_logits: list[Tensor] = []
         trunk = diffs[0]
         if self.cfg.use_krm:
+            # Only the review cascade reads probabilities: each review
+            # the finer prediction before it (so the last review's logit
+            # is not squashed), its attention branches the coarse one.
+            attends = (self.cfg.use_conflict_attention
+                       or self.cfg.use_reverse_attention)
+            probs = [ops.sigmoid(lg) if attends or i == 0 else None
+                     for i, lg in enumerate(logits)]
             p_low = probs[0]
-            for review, d_high, p_high in zip(self.reviews, diffs[1:], probs[1:]):
+            for review, d_high, p_high in zip(self.reviews, diffs[1:],
+                                              probs[1:]):
+                if refined_logits:
+                    p_low = ops.sigmoid(refined_logits[-1])
                 trunk, logit_low = review(trunk, d_high, p_low, p_high)
-                p_low = ops.sigmoid(logit_low)
                 refined_logits.append(logit_low)
+            del probs, p_low
 
         u_feats = None
         p_unc = None

@@ -1,6 +1,7 @@
 """Architecture contracts: shapes, symmetry, ablation semantics, wiring."""
 
 import hashlib
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from arcd import network
 from arcd.autodiff import (Parameter, ShapeError, Tensor, backward,
-                           clear_record, no_grad, ops)
+                           clear_record, no_grad, ops, tensor)
 from arcd.network import (STRIDES, VARIANTS, ChangeDetector, Encoder,
                           GatedFusion, ReviewBlock, TemporalDifference,
                           conflict_attention, reverse_attention,
@@ -409,16 +410,17 @@ class TestFullNetwork:
         assert digest == self.PREDICT_SHA256[dtype]
 
     def test_predict_bits_unchanged_by_two_thread_convs(self, monkeypatch):
-        # At 512^2 the stems and the stride-2 maps split their columns.
+        # At 512^2 the stems, the stride-2 maps and the largest batch
+        # norms, ReLUs and full-resolution sigmoids split their work.
         monkeypatch.setattr(ops, "_usable_cpus", lambda: 2)
         splits = []
-        in_halves = ops._in_halves
+        share = ops._share
 
-        def logged(fn, mid, end):
-            splits.append(end)
-            in_halves(fn, mid, end)
+        def logged(fn, blocks):
+            splits.append(blocks)
+            share(fn, blocks)
 
-        monkeypatch.setattr(ops, "_in_halves", logged)
+        monkeypatch.setattr(ops, "_share", logged)
         model = ChangeDetector(seed=5, dtype=np.float32)
         img1, img2 = np.random.default_rng(512).uniform(0.0, 1.0,
                                                         (2, 3, 512, 512))
@@ -428,9 +430,46 @@ class TestFullNetwork:
             return hashlib.sha256(change.tobytes() + unc.tobytes()).digest()
 
         threaded = digest()
-        assert len(splits) >= 4
+        assert len(splits) >= 20
         monkeypatch.setattr(ops, "_splits", lambda elements: False)
         assert digest() == threaded
+
+    def test_split_work_leaves_primitives_on_the_calling_thread(
+            self, monkeypatch):
+        # The benchmark's tracer keeps one span stack for all threads, so
+        # helper threads may run only private closures: every public
+        # primitive and every record entry stays on the caller.
+        monkeypatch.setattr(ops, "_usable_cpus", lambda: 2)
+        caller = threading.get_ident()
+        seen = []
+
+        def on_caller(name, fn):
+            def wrapped(*args, **kwargs):
+                seen.append((name, threading.get_ident() == caller))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ops.__all__:
+            monkeypatch.setattr(ops, name, on_caller(name, getattr(ops, name)))
+        record = on_caller("record", tensor.record)
+        monkeypatch.setattr(ops, "record", record)
+        monkeypatch.setattr(tensor, "record", record)
+        splits = []
+        share = ops._share
+
+        def logged(fn, blocks):
+            splits.append(blocks)
+            share(fn, blocks)
+
+        monkeypatch.setattr(ops, "_share", logged)
+        model = ChangeDetector(seed=5, dtype=np.float32)
+        img1, img2 = np.random.default_rng(512).uniform(0.0, 1.0,
+                                                        (2, 3, 512, 512))
+        predict(model, img1, img2)
+        assert len(splits) >= 20
+        assert {name for name, _ in seen} >= {"conv2d", "batch_norm",
+                                              "relu", "sigmoid", "record"}
+        assert [name for name, here in seen if not here] == []
 
     @pytest.mark.parametrize("size,n,training", [(256, 1, False),
                                                  (64, 4, True)])
@@ -438,10 +477,10 @@ class TestFullNetwork:
         # Every map of a 256^2 input and of a 4x64^2 training step is
         # below the gate, even where two CPUs are free.
         def no_split(*args):
-            raise AssertionError("a small conv split its columns")
+            raise AssertionError("a small map split its work")
 
         monkeypatch.setattr(ops, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(ops, "_in_halves", no_split)
+        monkeypatch.setattr(ops, "_share", no_split)
         model = ChangeDetector(seed=0, dtype=np.float32)
         t1, t2 = rand_images(np.random.default_rng(3), n=n, size=size,
                              dtype=np.float32)
@@ -452,6 +491,31 @@ class TestFullNetwork:
                                 bundle.uncertainty, g, model.cfg).total)
         else:
             predict(model, t1.data[0], t2.data[0])
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_training_step_records_no_dead_work(self, variant):
+        # Every recorded op feeds the loss: nothing computes a map that
+        # no gradient reaches (a 4x64^2 step of "full" records 387).
+        clear_record()
+        cfg = VARIANTS[variant]
+        model = ChangeDetector(cfg, seed=0, dtype=np.float32)
+        rng = np.random.default_rng(4)
+        t1, t2 = rand_images(rng, n=4, dtype=np.float32)
+        g = (rng.uniform(0, 1, (4, 1, 64, 64)) > 0.5).astype(np.float32)
+        bundle = model(t1, t2)
+        loss = total_loss(bundle.side_probs(), bundle.change,
+                          bundle.uncertainty, g, cfg).total
+        entries = tensor._STATE.entries
+        live, dead = {id(loss)}, []
+        for entry in reversed(entries):
+            if id(entry.output) in live:
+                live.update(id(t) for t in entry.inputs)
+            else:
+                dead.append(entry.op)
+        if variant == "full":
+            assert len(entries) == 387
+        clear_record()
+        assert dead == []
 
     @staticmethod
     def _batches_seen(monkeypatch):

@@ -1,5 +1,6 @@
 """Forward-path checks of the tensor primitives against independent oracles."""
 
+import _thread
 import multiprocessing
 import os
 import struct
@@ -298,18 +299,45 @@ class TestSingleSampleConv:
 
 
 def split_calls(monkeypatch):
-    """Let convolutions split as on a host with two CPUs; return the list
-    that logs the (mid, end) of each split."""
+    """Let large outputs split as on a host with two CPUs; return the list
+    that logs the block count of each call shared over two threads."""
     monkeypatch.setattr(ops, "_usable_cpus", lambda: 2)
     calls = []
-    in_halves = ops._in_halves
+    share = ops._share
 
-    def logged(fn, mid, end):
-        calls.append((mid, end))
-        in_halves(fn, mid, end)
+    def logged(fn, blocks):
+        calls.append(blocks)
+        share(fn, blocks)
 
-    monkeypatch.setattr(ops, "_in_halves", logged)
+    monkeypatch.setattr(ops, "_share", logged)
     return calls
+
+
+def helpers_ended(before, timeout=5.0):
+    """Whether the count of running threads other than the main one falls
+    back to ``before`` (its value ahead of a split call) in time."""
+    end = time.monotonic() + timeout
+    while _thread._count() != before:
+        if time.monotonic() > end:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+def logged_starts(monkeypatch=None):
+    """Log the start of every thread; return the log."""
+    started = []
+    start = _thread.start_new_thread
+
+    def logged(fn, args, *rest):
+        started.append(fn)
+        return start(fn, args, *rest)
+
+    if monkeypatch is None:
+        _thread.start_new_thread = logged
+    else:
+        monkeypatch.setattr(_thread, "start_new_thread", logged)
+    return started
 
 
 # (op, input shape at N = 1, weight shape, stride, padding): each output
@@ -323,19 +351,20 @@ GATED_CONVS = {
 }
 
 
-def gated_conv(case, n, dtype):
-    """Output bytes of GATED_CONVS[case] at batch size n."""
+def gated_conv(case, n, dtype, with_bias=True):
+    """Output of GATED_CONVS[case] at batch size n, and its bias."""
     op, xs, ws, stride, padding = GATED_CONVS[case]
     rng = np.random.default_rng(60 + n)
     x = Tensor(rng.standard_normal((n,) + xs[1:]).astype(dtype))
     w = Tensor(rng.standard_normal(ws).astype(dtype))
     b = Tensor(rng.standard_normal(ws[0]).astype(dtype))
     if op == "conv3d":
-        y = ops.conv3d(x, w, b, padding=padding)
+        y = ops.conv3d(x, w, b if with_bias else None, padding=padding)
     else:
-        y = ops.conv2d(x, w, b, stride=stride, padding=padding)
+        y = ops.conv2d(x, w, b if with_bias else None, stride=stride,
+                       padding=padding)
     assert y.dtype == dtype
-    return y.data.tobytes()
+    return y.data, b.data
 
 
 def in_fork_child(task, timeout=30.0):
@@ -364,10 +393,59 @@ needs_fork = pytest.mark.skipif(
     reason="needs the fork start method")
 
 
+class TestShare:
+    """``ops._share`` hands blocks to the calling thread and one helper
+    thread from a shared counter."""
+
+    @pytest.mark.parametrize("blocks", range(1, 21))
+    def test_every_block_runs_once(self, blocks):
+        before = _thread._count()
+        ran = []
+
+        def fn(i):
+            ran.append((i, threading.get_ident()))
+            time.sleep(0.01)
+
+        ops._share(fn, blocks)
+        assert sorted(i for i, _ in ran) == list(range(blocks))
+        if blocks == 20:
+            # 200 ms of sleeping blocks: the helper takes some of them.
+            assert len({t for _, t in ran}) == 2
+        assert helpers_ended(before)
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_exception_reaches_the_caller_after_both_threads(self, failing):
+        before = _thread._count()
+        caller = threading.get_ident()
+        err = ValueError(f"{failing} block")
+        entered, finished = [], []
+        helper_started = threading.Event()
+
+        def fn(i):
+            entered.append(i)
+            on_caller = threading.get_ident() == caller
+            if not on_caller:
+                helper_started.set()
+            if on_caller == (failing == "caller"):
+                raise err
+            if on_caller:       # hold the block until the helper fails
+                helper_started.wait(5.0)
+            time.sleep(0.02)
+            finished.append(i)
+
+        with pytest.raises(ValueError) as info:
+            ops._share(fn, 20)
+        assert info.value is err
+        assert helpers_ended(before)
+        # The other thread finished its block in flight and took no more.
+        assert sorted(entered) in ([0], [0, 1])
+        assert len(finished) == len(entered) - 1
+
+
 class TestTwoThreadConv:
     """A convolution whose output grid holds _SPLIT_BLOCKS column blocks or
-    more computes its two column halves on two threads, with the bytes
-    of the serial path; everything smaller stays serial."""
+    more shares its phase copies and column blocks between two threads,
+    with the bytes of the serial path; everything smaller stays serial."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n", [1, 2])
@@ -375,13 +453,41 @@ class TestTwoThreadConv:
     def test_split_output_is_the_serial_bytes(self, monkeypatch, case, n,
                                               dtype):
         calls = split_calls(monkeypatch)
-        threaded = gated_conv(case, n, dtype)
-        assert len(calls) == 1
-        mid, end = calls[0]
-        assert 0 < mid < end
+        threaded = gated_conv(case, n, dtype)[0].tobytes()
+        # Column blocks, and phase copies unless the conv is pointwise.
+        assert len(calls) == (1 if case == "pointwise" else 2)
+        assert all(blocks >= 2 for blocks in calls)
         monkeypatch.setattr(ops, "_splits", lambda elements: False)
-        assert gated_conv(case, n, dtype) == threaded
-        assert len(calls) == 1
+        assert gated_conv(case, n, dtype)[0].tobytes() == threaded
+        assert len(calls) == (1 if case == "pointwise" else 2)
+
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("case", ["3x3", "pointwise"])
+    def test_bias_in_the_block_is_the_bias_after(self, monkeypatch, case,
+                                                 split):
+        # At N = 1 each column block adds the bias after its last tap; the
+        # sum is the one a pass over the finished output makes.
+        calls = split_calls(monkeypatch)
+        if not split:
+            monkeypatch.setattr(ops, "_splits", lambda elements: False)
+        y, b = gated_conv(case, 1, np.float32)
+        y0, _ = gated_conv(case, 1, np.float32, with_bias=False)
+        assert y.tobytes() == (y0 + b[:, None, None]).tobytes()
+        assert bool(calls) == split
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_split_phases_are_the_serial_bytes(self, monkeypatch, stride, n,
+                                               dtype):
+        calls = split_calls(monkeypatch)
+        a = np.random.default_rng(stride).standard_normal(
+            (n, 8, 190, 190)).astype(dtype)
+        hq = -(-(190 + 2) // stride)
+        args = (a, stride, 1, hq, hq, 2 * hq + 2)
+        assert (ops._phases(*args, split=True).tobytes()
+                == ops._phases(*args).tobytes())
+        assert len(calls) == 1 and calls[0] >= 8
 
     def test_below_the_gate_or_on_one_cpu_stays_serial(self, monkeypatch):
         calls = split_calls(monkeypatch)
@@ -389,62 +495,119 @@ class TestTwoThreadConv:
         x = Tensor(np.ones((1, 16, 181, 181), dtype=np.float32))
         w = Tensor(np.ones((16, 16, 1, 1), dtype=np.float32))
         ops.conv2d(x, w, None)
+        ops.relu(Tensor(np.ones((1, 8, 256, 255), dtype=np.float32)))
         assert calls == []
         monkeypatch.setattr(ops, "_usable_cpus", lambda: 1)
         gated_conv("3x3", 1, np.float32)
+        ops.relu(Tensor(np.ones((1, 8, 256, 256), dtype=np.float32)))
         assert calls == []
 
     def test_cpu_count_falls_back_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert ops._usable_cpus() == (os.cpu_count() or 1)
 
-    @pytest.mark.parametrize("failing", ["helper", "caller"])
-    def test_exception_reaches_the_caller_after_both_halves(self, failing):
-        err = ValueError(f"{failing} half")
-        finished = []
-
-        def fn(lo, hi):
-            if (lo > 0) == (failing == "helper"):
-                raise err
-            time.sleep(0.05)
-            finished.append((lo, hi))
-
-        with pytest.raises(ValueError) as info:
-            ops._in_halves(fn, 3, 7)
-        assert info.value is err
-        assert finished == ([(0, 3)] if failing == "helper" else [(3, 7)])
-        assert "arcd-conv" not in {t.name for t in threading.enumerate()}
-
     @needs_fork
     def test_forked_child_runs_a_gated_conv(self, monkeypatch):
         calls = split_calls(monkeypatch)
-        want = gated_conv("3x3", 1, np.float32)
-        assert len(calls) == 1
+        want = gated_conv("3x3", 1, np.float32)[0].tobytes()
+        assert len(calls) == 2
 
         def child():
-            return gated_conv("3x3", 1, np.float32), len(calls)
+            return gated_conv("3x3", 1, np.float32)[0].tobytes(), len(calls)
 
-        assert in_fork_child(child) == (want, 2)
+        assert in_fork_child(child) == (want, 4)
 
     @needs_fork
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="needs CPU affinity")
     def test_child_pinned_to_one_cpu_starts_no_helper_thread(self):
-        serial = gated_conv("3x3", 1, np.float32)
+        serial = gated_conv("3x3", 1, np.float32)[0].tobytes()
 
         def child():
             os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-            started = []
-            start = threading.Thread.start
-
-            def logged(thread):
-                started.append(thread.name)
-                start(thread)
-
-            threading.Thread.start = logged
-            return gated_conv("3x3", 1, np.float32), started
+            started = logged_starts()
+            return gated_conv("3x3", 1, np.float32)[0].tobytes(), started
 
         assert in_fork_child(child) == (serial, [])
+
+
+# [N, 8, 256, 256] holds exactly _SPLIT_BLOCKS blocks of elements at N = 1.
+MAP = (8, 256, 256)
+
+
+def _batch_norm_eval(x, rng):
+    c = x.shape[1]
+    gamma, beta = (Tensor(rng.standard_normal(c).astype(x.dtype))
+                   for _ in range(2))
+    rm = rng.standard_normal(c).astype(x.dtype)
+    rv = rng.uniform(0.5, 2.0, c).astype(x.dtype)
+    return ops.batch_norm(x, gamma, beta, rm, rv, training=False)
+
+
+def _like(rng, x, shape):
+    return Tensor(rng.uniform(-2.0, 2.0, shape).astype(x.dtype))
+
+
+# Each case maps (x, y, rng), two [N, 8, 256, 256] inputs and a generator,
+# to the op's output.
+GATED_ELEMENTWISE = {
+    "relu": lambda x, y, rng: ops.relu(x),
+    "sigmoid": lambda x, y, rng: ops.sigmoid(x),
+    "add": lambda x, y, rng: ops.add(x, y),
+    "add-scalar": lambda x, y, rng: ops.add(x, 0.75),
+    "mul": lambda x, y, rng: ops.mul(x, y),
+    "mul-scalar": lambda x, y, rng: ops.mul(x, -1.5),
+    "mul-gate": lambda x, y, rng: ops.mul(
+        x, _like(rng, x, (x.shape[0], x.shape[1], 1, 1))),
+    "mul-map": lambda x, y, rng: ops.mul(
+        x, _like(rng, x, (x.shape[0], 1) + x.shape[2:])),
+    "batch_norm": lambda x, y, rng: _batch_norm_eval(x, rng),
+    "concat": lambda x, y, rng: ops.concat(
+        [x, _like(rng, x, (x.shape[0], 3) + x.shape[2:]), y], axis=1),
+    "stack_time": lambda x, y, rng: ops.stack_time(x, y),
+}
+
+
+class TestTwoThreadElementwise:
+    """Elementwise primitives on outputs of _SPLIT_BLOCKS blocks or more
+    compute row blocks on two threads, with the bytes of the serial
+    path."""
+
+    @staticmethod
+    def output(case, n, dtype):
+        rng = np.random.default_rng(70 + n)
+        x, y = (Tensor((6.0 * rng.standard_normal((n,) + MAP)).astype(dtype))
+                for _ in range(2))
+        with no_grad():
+            out = GATED_ELEMENTWISE[case](x, y, rng)
+        assert out.dtype == dtype
+        return out.data.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("case", sorted(GATED_ELEMENTWISE))
+    def test_split_output_is_the_serial_bytes(self, monkeypatch, case, n,
+                                              dtype):
+        calls = split_calls(monkeypatch)
+        threaded = self.output(case, n, dtype)
+        assert len(calls) == 1 and calls[0] >= 2
+        monkeypatch.setattr(ops, "_splits", lambda elements: False)
+        assert self.output(case, n, dtype) == threaded
+        assert len(calls) == 1
+
+    def test_upsampling_above_the_gate_starts_no_helper_thread(
+            self, monkeypatch):
+        """upsample_bilinear stays one contraction per axis at any size.
+        Split by channel ranges it gave float64 bytes different from the
+        single contraction ([1,16,150,150], factor 2): the BLAS kernel a
+        contraction runs depends on its shape."""
+        monkeypatch.setattr(ops, "_usable_cpus", lambda: 2)
+        started = logged_starts(monkeypatch)
+        x = Tensor(np.ones((1, 16, 150, 150)))
+        assert ops.upsample_bilinear(x, 2).size >= 8 * ops._BLOCK
+        assert started == []
+        ops.relu(Tensor(np.ones((1, 16, 300, 300))))
+        assert len(started) == 1        # as a split op starts one
 
 
 class TestBatchNorm:
