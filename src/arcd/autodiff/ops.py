@@ -22,21 +22,29 @@ sum.
 
 One gate, ``_splits``, decides whether a forward output is computed on
 two threads: it must hold at least ``_SPLIT_BLOCKS`` blocks of 64K
-elements, and the process must be allowed to run on two or more CPUs.
-The calling thread and a helper thread started for the call then take
-blocks from one shared counter: a convolution's phase copies (channel
-ranges) and column blocks, and the row blocks of ``relu``, ``sigmoid``,
-``add``, ``mul``, ``concat``, ``stack_time`` and an unrecorded
-``batch_norm``.  Each block runs the serial path's operations on its
-elements (the same GEMM calls and tap order, the same elementwise steps
-in the same order), so outputs are bit-identical.  The large maps of a
-1024x1024 inference pass the gate; no map of a 256x256 input or of a
-4x64x64 training step does.  Reductions (``global_avg_pool``,
-training batch-norm statistics, the losses, ``sum_all``), every adjoint
-and ``upsample_bilinear`` stay serial: how a sum or a BLAS contraction
-is cut decides its rounding, and a channel split of the upsampling
-contraction gave other float64 bytes.  ``ARCD_THREADS`` caps BLAS
-threads only and does not select this path.
+elements, or, for a convolution, two column blocks and ``_SPLIT_MACS``
+multiply-adds; and the process must be allowed to run on two or more
+CPUs.  The calling thread and a helper thread started for the call then
+take blocks from one shared counter: a convolution's phase copies
+(channel ranges) and column blocks, the bands of an upsampling pass, and
+the row blocks of ``relu``, ``sigmoid``, ``add``, ``mul``, ``concat``,
+``stack_time`` and an unrecorded ``batch_norm``.  Each block runs the
+serial path's operations on its elements (the same GEMM calls and tap
+order, the same elementwise steps in the same order), so outputs are
+bit-identical.  The large maps and convolutions of a 1024x1024
+inference pass the gate; no map of a 256x256 input or of a 4x64x64
+training step does.  Reductions (``global_avg_pool``, training
+batch-norm statistics, the losses, ``sum_all``) and every adjoint stay
+serial: how a sum or a BLAS contraction is cut decides its rounding.
+``ARCD_THREADS`` caps BLAS threads only and does not select this path.
+
+``upsample_bilinear`` applies its interpolation operator, which holds at
+most two weights per row, one band of 64 output rows or columns at a
+time: each band is one GEMM with the input range that holds its
+weights, on the operands the dense contraction used.  On every shape the
+network upsamples these are the bytes of the dense contraction; on some
+other shapes they differ in the last bit.  Its adjoint stays the two
+dense contractions.
 
 Training-mode ``batch_norm`` can split its batch into equal leading
 groups, each normalized by its own statistics: the network runs the two
@@ -88,11 +96,22 @@ _BLOCK = 1 << 16
 # block and 29 % at four times that.
 _ROW_BLOCK = 4 * _BLOCK
 # An output of at least this many blocks, four per thread, is split over
-# two threads.  Below that the hand-off weighs more (a one-block
-# pointwise conv ran 1.5 to 2 times slower split), and every map of a
-# 256x256 input (at most 4.06 blocks) and of a 4x64x64 training step (at
-# most 2.3) stays serial.
+# two threads.  Below that the hand-off weighs more than an elementwise
+# block saves (a one-block pointwise conv ran 1.5 to 2 times slower
+# split), and every map of a 256x256 input (at most 4.06 blocks) and of a
+# 4x64x64 training step (at most 2.3) stays serial.  Block counts alone
+# cannot tell the 256x256 stem (4.06 blocks) from the 64- and 128-channel
+# convs of a 1024x1024 pass (2.1 to 4.25 blocks), which do 10 to 70 times
+# its multiply-adds, so a convolution has a second gate, _SPLIT_MACS.
 _SPLIT_BLOCKS = 8
+# A convolution of two column blocks or more and at least this many
+# multiply-adds is split too.  Under the element gate the convs of a
+# 1024x1024 pass do 34M or 78M to 482M multiply-adds; a conv of two
+# blocks does at most 30M at 256x256 (the stems 7.2M) and 1.9M in a
+# 4x64x64 training step.
+_SPLIT_MACS = 1 << 26
+# Output rows or columns per band of an upsampling contraction.
+_BAND = 64
 
 
 def _usable_cpus() -> int:
@@ -104,10 +123,14 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _splits(elements: int) -> bool:
+def _splits(elements: int, blocks: int = 0, macs: int = 0) -> bool:
     """Whether an output of ``elements`` elements is split over two
-    threads."""
-    return elements >= _SPLIT_BLOCKS * _BLOCK and _usable_cpus() >= 2
+    threads.  A convolution also gives its column ``blocks`` and its
+    multiply-adds, ``macs``: two blocks and ``_SPLIT_MACS`` split it at
+    any size."""
+    large = (elements >= _SPLIT_BLOCKS * _BLOCK
+             or blocks >= 2 and macs >= _SPLIT_MACS)
+    return large and _usable_cpus() >= 2
 
 
 def _share(fn, blocks: int) -> None:
@@ -456,14 +479,15 @@ def _conv(name: str, x: Tensor, weight: Tensor, bias, s: int,
     slack = taps[-1][1]
     wtaps = np.moveaxis(weight.data.reshape(k, c, kh * kw), 2, 0).copy()
 
-    split = _splits(k * cols)
-    xq = _phases(xd, s, p, hq, wq, slack, split)
-    grid = np.empty((k, cols), dtype=np.result_type(xq, wtaps))
-    bias_d = None if bias is None else bias.data[:, None]
     # Column blocks of _BLOCK grid elements keep each tap's product and
     # the running sum in cache; the first tap writes the block, later
     # taps add, and the bias adds last.
     step = max(_BLOCK // k, 1)
+    blocks = -(-cols // step)
+    split = _splits(k * cols, blocks, k * c * len(taps) * cols)
+    xq = _phases(xd, s, p, hq, wq, slack, split)
+    grid = np.empty((k, cols), dtype=np.result_type(xq, wtaps))
+    bias_d = None if bias is None else bias.data[:, None]
 
     def tap_sums(i):
         a = i * step
@@ -477,7 +501,7 @@ def _conv(name: str, x: Tensor, weight: Tensor, bias, s: int,
         if bias_d is not None:
             g += bias_d
 
-    _blocks(tap_sums, -(-cols // step), split)
+    _blocks(tap_sums, blocks, split)
     del xq
     if n == 1:
         # The output is a view of the grid's top-left corner.
@@ -528,7 +552,9 @@ def _pointwise(name: str, x: Tensor, weight: Tensor, bias) -> Tensor:
         if bias_d is not None:
             o += bias_d
 
-    _blocks(columns, -(-(h * w) // step), _splits(k * n * h * w))
+    blocks = -(-(h * w) // step)
+    _blocks(columns, blocks,
+            _splits(k * n * h * w, blocks, k * wd.shape[1] * n * h * w))
     out = Tensor(out_d.reshape((n, k) + (1,) * (x.ndim - 4) + (h, w)))
     inputs = (x, weight) if bias is None else (x, weight, bias)
 
@@ -734,6 +760,37 @@ def _bilinear_matrix(factor: int, size: int, dtype: np.dtype) -> np.ndarray:
     return mat
 
 
+@lru_cache(maxsize=None)
+def _bilinear_bands(factor: int, size: int) -> tuple:
+    """(o0, o1, lo, hi) for each band of ``_BAND`` output rows o0:o1 of
+    the [size*factor, size] operator: input columns lo:hi hold every
+    nonzero weight of those rows."""
+    mat = _bilinear_matrix(factor, size, np.dtype(np.float64))
+    bands = []
+    for o0 in range(0, size * factor, _BAND):
+        o1 = min(o0 + _BAND, size * factor)
+        cols = np.flatnonzero(mat[o0:o1].any(axis=0))
+        bands.append((o0, o1, int(cols[0]), int(cols[-1]) + 1))
+    return tuple(bands)
+
+
+def _banded(a: np.ndarray, factor: int) -> np.ndarray:
+    """``a @ U.T`` for a [rows, size] ``a`` and U the [size*factor, size]
+    interpolation operator: one GEMM per band of output columns, over
+    the input range that holds the band's weights.  Above the gate the
+    bands are shared over two threads."""
+    mat = _bilinear_matrix(factor, a.shape[1], a.dtype)
+    bands = _bilinear_bands(factor, a.shape[1])
+    out = np.empty((a.shape[0], mat.shape[0]), a.dtype)
+
+    def band(i):
+        o0, o1, lo, hi = bands[i]
+        np.matmul(a[:, lo:hi], mat[o0:o1, lo:hi].T, out=out[:, o0:o1])
+
+    _blocks(band, len(bands), _splits(out.size))
+    return out
+
+
 def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
     """Bilinear upsampling by an integer factor (half-pixel convention)."""
     if x.ndim != 4:
@@ -742,14 +799,18 @@ def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
     if factor < 1:
         raise ShapeError("upsample_bilinear: factor must be a positive "
                          "integer")
-    uh = _bilinear_matrix(factor, x.shape[2], x.dtype)
-    uw = _bilinear_matrix(factor, x.shape[3], x.dtype)
-    # Separable linear operator: rows then columns, both as contractions.
-    y = np.tensordot(x.data, uh, axes=(2, 1)).transpose(0, 1, 3, 2)
-    y = np.tensordot(y, uw, axes=(3, 1))
-    out = Tensor(np.ascontiguousarray(y))
+    n, c, h, w = x.shape
+    # Separable linear operator: rows then columns.  Each operator row
+    # holds at most two weights, so each band of output rows contracts
+    # only the input range that holds its weights.
+    y = _banded(x.data.transpose(0, 1, 3, 2).reshape(n * c * w, h), factor)
+    y = y.reshape(n, c, w, h * factor).transpose(0, 1, 3, 2)
+    y = _banded(y.reshape(n * c * h * factor, w), factor)
+    out = Tensor(y.reshape(n, c, h * factor, w * factor))
 
     def adjoint(g):
+        uh = _bilinear_matrix(factor, h, x.dtype)
+        uw = _bilinear_matrix(factor, w, x.dtype)
         gy = np.tensordot(g, uw, axes=(3, 0))
         gx = np.tensordot(gy, uh, axes=(2, 0)).transpose(0, 1, 3, 2)
         accumulate(x, np.ascontiguousarray(gx))

@@ -29,20 +29,25 @@ def _bn_layers(model: Module) -> list[tuple[str, BatchNorm]]:
 
 
 def save(model: Module, path) -> None:
-    """Atomic write: temp file in the same directory, then rename."""
+    """Atomic write: temp file in the same directory, then rename.  A
+    failed write removes the temp file and leaves ``path`` as it was."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as f:
-        for name, p in model.named_parameters():
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            arct.write_record(f, p.data)
-        for _, bn in _bn_layers(model):
-            arct.write_record(f, np.stack([bn.running_mean, bn.running_var]))
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            for name, p in model.named_parameters():
+                encoded = name.encode("utf-8")
+                f.write(struct.pack("<H", len(encoded)))
+                f.write(encoded)
+                arct.write_record(f, p.data)
+            for _, bn in _bn_layers(model):
+                arct.write_record(f, np.stack([bn.running_mean,
+                                               bn.running_var]))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load(model: Module, path) -> None:

@@ -218,3 +218,23 @@ class TestMismatch:
         model = ChangeDetector(seed=0)
         checkpoint.save(model, tmp_path / "m.ckpt")
         assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_failed_save_leaves_no_tmp_and_keeps_the_target(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"previous checkpoint")
+        write_record = checkpoint.arct.write_record
+        written = []
+
+        def failing(f, arr):
+            if written:
+                raise OSError("disk full")
+            written.append(arr)
+            write_record(f, arr)
+
+        monkeypatch.setattr(checkpoint.arct, "write_record", failing)
+        with pytest.raises(OSError, match="disk full"):
+            checkpoint.save(ChangeDetector(seed=0), path)
+        assert len(written) == 1
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert path.read_bytes() == b"previous checkpoint"

@@ -431,7 +431,7 @@ class TestFullNetwork:
 
         threaded = digest()
         assert len(splits) >= 20
-        monkeypatch.setattr(ops, "_splits", lambda elements: False)
+        monkeypatch.setattr(ops, "_splits", lambda *gate: False)
         assert digest() == threaded
 
     def test_split_work_leaves_primitives_on_the_calling_thread(
@@ -468,7 +468,8 @@ class TestFullNetwork:
         predict(model, img1, img2)
         assert len(splits) >= 20
         assert {name for name, _ in seen} >= {"conv2d", "batch_norm",
-                                              "relu", "sigmoid", "record"}
+                                              "relu", "sigmoid",
+                                              "upsample_bilinear", "record"}
         assert [name for name, here in seen if not here] == []
 
     @pytest.mark.parametrize("size,n,training", [(256, 1, False),

@@ -457,7 +457,7 @@ class TestTwoThreadConv:
         # Column blocks, and phase copies unless the conv is pointwise.
         assert len(calls) == (1 if case == "pointwise" else 2)
         assert all(blocks >= 2 for blocks in calls)
-        monkeypatch.setattr(ops, "_splits", lambda elements: False)
+        monkeypatch.setattr(ops, "_splits", lambda *gate: False)
         assert gated_conv(case, n, dtype)[0].tobytes() == threaded
         assert len(calls) == (1 if case == "pointwise" else 2)
 
@@ -469,7 +469,7 @@ class TestTwoThreadConv:
         # sum is the one a pass over the finished output makes.
         calls = split_calls(monkeypatch)
         if not split:
-            monkeypatch.setattr(ops, "_splits", lambda elements: False)
+            monkeypatch.setattr(ops, "_splits", lambda *gate: False)
         y, b = gated_conv(case, 1, np.float32)
         y0, _ = gated_conv(case, 1, np.float32, with_bias=False)
         assert y.tobytes() == (y0 + b[:, None, None]).tobytes()
@@ -488,6 +488,35 @@ class TestTwoThreadConv:
         assert (ops._phases(*args, split=True).tobytes()
                 == ops._phases(*args).tobytes())
         assert len(calls) == 1 and calls[0] >= 8
+
+    def test_stem_at_256_starts_no_helper_thread(self, monkeypatch):
+        # The 3-channel stride-2 stem of a 256x256 input: 4.06 blocks and
+        # 7.2M multiply-adds, under both gates.
+        split_calls(monkeypatch)
+        started = logged_starts(monkeypatch)
+        rng = np.random.default_rng(61)
+        x = Tensor(rng.standard_normal((1, 3, 256, 256)).astype(np.float32))
+        w = Tensor(rng.standard_normal((16, 3, 3, 3)).astype(np.float32))
+        ops.conv2d(x, w, None, stride=2, padding=1)
+        assert started == []
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_multiply_add_gate_shares_the_blocks(self, monkeypatch, n,
+                                                 dtype):
+        # A 64-channel 3x3 conv on a 64x64 map: 4.25 blocks of elements at
+        # N = 1, under the element gate, but 161M multiply-adds.
+        calls = split_calls(monkeypatch)
+        rng = np.random.default_rng(62 + n)
+        x = Tensor(rng.standard_normal((n, 64, 64, 64)).astype(dtype))
+        w = Tensor(rng.standard_normal((64, 64, 3, 3)).astype(dtype))
+        b = Tensor(rng.standard_normal(64).astype(dtype))
+        assert 64 * 66 * 66 < ops._SPLIT_BLOCKS * ops._BLOCK
+        threaded = ops.conv2d(x, w, b, padding=1).data.tobytes()
+        assert len(calls) == 2 and all(blocks >= 2 for blocks in calls)
+        monkeypatch.setattr(ops, "_splits", lambda *gate: False)
+        assert ops.conv2d(x, w, b, padding=1).data.tobytes() == threaded
+        assert len(calls) == 2
 
     def test_below_the_gate_or_on_one_cpu_stays_serial(self, monkeypatch):
         calls = split_calls(monkeypatch)
@@ -595,19 +624,20 @@ class TestTwoThreadElementwise:
         assert self.output(case, n, dtype) == threaded
         assert len(calls) == 1
 
-    def test_upsampling_above_the_gate_starts_no_helper_thread(
-            self, monkeypatch):
-        """upsample_bilinear stays one contraction per axis at any size.
-        Split by channel ranges it gave float64 bytes different from the
-        single contraction ([1,16,150,150], factor 2): the BLAS kernel a
-        contraction runs depends on its shape."""
-        monkeypatch.setattr(ops, "_usable_cpus", lambda: 2)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_upsampling_above_the_gate_shares_its_bands(self, monkeypatch,
+                                                        dtype):
+        # [1,1,256,256] x4: the row pass ([256, 1024]) is under the gate,
+        # the column pass ([1024, 1024]) above it.
+        calls = split_calls(monkeypatch)
         started = logged_starts(monkeypatch)
-        x = Tensor(np.ones((1, 16, 150, 150)))
-        assert ops.upsample_bilinear(x, 2).size >= 8 * ops._BLOCK
-        assert started == []
-        ops.relu(Tensor(np.ones((1, 16, 300, 300))))
-        assert len(started) == 1        # as a split op starts one
+        x = Tensor(np.random.default_rng(63).standard_normal(
+            (1, 1, 256, 256)).astype(dtype))
+        threaded = ops.upsample_bilinear(x, 4).data.tobytes()
+        assert len(started) == 1 and calls == [1024 // ops._BAND]
+        monkeypatch.setattr(ops, "_splits", lambda *gate: False)
+        assert ops.upsample_bilinear(x, 4).data.tobytes() == threaded
+        assert len(started) == 1
 
 
 class TestBatchNorm:
@@ -893,7 +923,76 @@ class TestElementwise:
         assert (y.data[:, :, 0] == 1.0).all() and (y.data[:, :, 1] == 0.0).all()
 
 
+def dense_upsample(x, factor):
+    """Bilinear upsampling as two dense contractions with the whole
+    interpolation operators, the reference for the banded forward."""
+    uh = ops._bilinear_matrix(factor, x.shape[2], x.dtype)
+    uw = ops._bilinear_matrix(factor, x.shape[3], x.dtype)
+    y = np.tensordot(x, uh, axes=(2, 1)).transpose(0, 1, 3, 2)
+    return np.ascontiguousarray(np.tensordot(y, uw, axes=(3, 1)))
+
+
+# The network's upsamplings of an s x s input: (channels, input side as a
+# divisor of s, factor).
+NETWORK_UPSAMPLES = [(16, 8, 2), (16, 16, 4), (16, 32, 8), (128, 32, 2),
+                     (64, 16, 2), (32, 8, 2), (1, 4, 4), (1, 8, 2),
+                     (1, 16, 4), (1, 32, 8)]
+# The training loss also takes the side maps to full resolution.
+LOSS_UPSAMPLES = [(1, 8, 8), (1, 16, 16), (1, 32, 32)]
+
+
 class TestUpsample:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channels,divisor,factor", NETWORK_UPSAMPLES)
+    def test_banded_forward_is_the_dense_bytes(self, channels, divisor,
+                                               factor, dtype):
+        # Every side s = 32..1024 in steps of 32.
+        rng = np.random.default_rng(64 + factor)
+        for s in range(32, 1025, 32):
+            side = s // divisor
+            x = rng.standard_normal((1, channels, side, side)).astype(dtype)
+            y = ops.upsample_bilinear(Tensor(x), factor).data
+            assert y.tobytes() == dense_upsample(x, factor).tobytes(), s
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_banded_forward_of_training_batches_is_the_dense_bytes(self, n,
+                                                                   dtype):
+        rng = np.random.default_rng(66 + n)
+        for s in (32, 64, 128):
+            for channels, divisor, factor in (NETWORK_UPSAMPLES
+                                              + LOSS_UPSAMPLES):
+                side = s // divisor
+                x = rng.standard_normal((n, channels, side, side)).astype(
+                    dtype)
+                y = ops.upsample_bilinear(Tensor(x), factor).data
+                assert (y.tobytes()
+                        == dense_upsample(x, factor).tobytes()), (s, factor)
+
+    @pytest.mark.parametrize("shape,factor", [((1, 1, 512, 512), 4),
+                                              ((1, 1, 128, 12), 2),
+                                              ((1, 16, 150, 150), 2)])
+    def test_banded_forward_is_within_rounding_elsewhere(self, shape,
+                                                         factor):
+        # Shapes outside the network's set may round differently from the
+        # dense contraction, since the BLAS kernel depends on the shape.
+        x = np.random.default_rng(65).standard_normal(shape)
+        y = ops.upsample_bilinear(Tensor(x), factor).data
+        assert np.abs(y - dense_upsample(x, factor)).max() <= 1e-12
+
+    def test_bands_hold_every_weight(self):
+        for factor in (1, 2, 3, 4, 8):
+            for size in (1, 2, 5, 64, 65, 150):
+                mat = ops._bilinear_matrix(factor, size, np.dtype(np.float64))
+                bands = ops._bilinear_bands(factor, size)
+                assert [b[:2] for b in bands] == [
+                    (o, min(o + ops._BAND, size * factor))
+                    for o in range(0, size * factor, ops._BAND)]
+                for o0, o1, lo, hi in bands:
+                    outside = mat[o0:o1].copy()
+                    outside[:, lo:hi] = 0.0
+                    assert not outside.any()
+
     def test_bilinear_checkerboard_hand_grid(self):
         # 2x2 checkerboard [[1,0],[0,1]] doubled with half-pixel centers.
         # Row weights per output index: (1,0), (.75,.25), (.25,.75), (0,1);
