@@ -3,11 +3,12 @@
 Importing the package caps the BLAS threads (ARCD_THREADS, default 1)
 before numpy spins up its pools, keeping runs reproducible.  It warns
 when numpy came first, since the cap cannot hold then.  The cap is for
-BLAS only: a forward op that passes the one gate of
-``arcd.autodiff.ops`` (convolutions, upsampling and the elementwise ops
-of a 1024x1024 inference; reductions and adjoints never) shares its
-blocks with a helper thread wherever the process may run on two CPUs,
-with the same output bits.
+BLAS only: a forward op that passes the gate of ``arcd.autodiff.ops``
+(convolutions, upsampling and the elementwise ops of a 1024x1024
+inference) shares its blocks with a helper thread wherever the process
+may run on two CPUs, and so does a large convolution's adjoint, whose
+weight and input gradients run on two threads.  No sum or contraction
+is cut, so the output bits are the same.
 """
 
 import os as _os

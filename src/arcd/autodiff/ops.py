@@ -33,10 +33,16 @@ serial path's operations on its elements (the same GEMM calls and tap
 order, the same elementwise steps in the same order), so outputs are
 bit-identical.  The large maps and convolutions of a 1024x1024
 inference pass the gate; no map of a 256x256 input or of a 4x64x64
-training step does.  Reductions (``global_avg_pool``, training
-batch-norm statistics, the losses, ``sum_all``) and every adjoint stay
-serial: how a sum or a BLAS contraction is cut decides its rounding.
-``ARCD_THREADS`` caps BLAS threads only and does not select this path.
+training step's forward does.
+
+No sum or BLAS contraction is ever cut, since how it is cut decides its
+rounding: reductions (``global_avg_pool``, training batch-norm
+statistics, the losses, ``sum_all``) and every adjoint but one run
+serially.  A tap convolution's adjoint of at least
+``_SPLIT_ADJOINT_MACS`` multiply-adds that needs both its weight and its
+input gradient computes the two on two threads, each with the serial
+path's GEMM calls, and accumulates them in the serial order.
+``ARCD_THREADS`` caps BLAS threads only and does not select either path.
 
 ``upsample_bilinear`` applies its interpolation operator, which holds at
 most two weights per row, one band of 64 output rows or columns at a
@@ -110,6 +116,15 @@ _SPLIT_BLOCKS = 8
 # blocks does at most 30M at 256x256 (the stems 7.2M) and 1.9M in a
 # 4x64x64 training step.
 _SPLIT_MACS = 1 << 26
+# A convolution's adjoint of at least this many multiply-adds computes
+# its weight and input gradients on two threads.  Timed one by one, the
+# tap-conv adjoints of a 4x64x64 training step that need both gradients
+# all ran 0.1 to 0.4 ms slower split up to 7.0M multiply-adds; from
+# 10.1M on, 7 of 9 gained 0.06 to 0.58 ms and two lost at most 0.12 ms.
+# The gate sits between and splits 10 adjoints per step.  Over 150
+# alternating steps each, 2^22 was faster than serial in 105, 2^23 in
+# 118 and 2^24 in 121, with medians inside the host's noise.
+_SPLIT_ADJOINT_MACS = 1 << 23
 # Output rows or columns per band of an upsampling contraction.
 _BAND = 64
 
@@ -208,8 +223,11 @@ def _by_rows(fn, shape) -> None:
 
 
 def _binary(ufunc, a: np.ndarray, b) -> np.ndarray:
-    """``ufunc(a, b)`` into a new array of ``a``'s shape, by row blocks;
-    ``b`` is a scalar or an array that broadcasts to ``a``'s shape."""
+    """``ufunc(a, b)`` into a new array of ``a``'s shape; ``b`` is a
+    scalar or an array that broadcasts to ``a``'s shape.  Below the gate
+    it is the one ufunc call, above it row blocks."""
+    if a.ndim < 2 or not _splits(a.size):
+        return ufunc(a, b)
     out = np.empty(a.shape, np.result_type(a, b))
     rowwise = np.ndim(b) >= 2 and b.shape[-2] > 1
     _by_rows(lambda ix: ufunc(a[ix], b[ix] if rowwise else b, out=out[ix]),
@@ -296,6 +314,7 @@ def sigmoid(x: Tensor) -> Tensor:
     """Logistic function, overflow-safe for large |x|."""
     d = np.atleast_1d(x.data)
     y = np.empty(d.shape, d.dtype)
+    bits = np.dtype(f"u{d.dtype.itemsize}")
 
     def block(ix):
         db, yb = d[ix], y[ix]
@@ -305,7 +324,13 @@ def sigmoid(x: Tensor) -> Tensor:
         den = 1.0 + e
         np.divide(1.0, den, out=yb)
         np.divide(e, den, out=e)
-        np.copyto(yb, e, where=db < 0)
+        # Take e/den where x < 0 by selecting bits: y ^ ((y ^ e) & mask)
+        # with an all-ones mask there.  A masked copy is about three times
+        # slower on a random sign pattern; the bytes are the same.
+        yi, ei = yb.view(bits), e.view(bits)
+        np.bitwise_xor(ei, yi, out=ei)
+        ei &= np.negative((db < 0).view(np.uint8), dtype=bits)
+        yi ^= ei
 
     _by_rows(block, d.shape)
     y = y.reshape(x.shape)
@@ -477,14 +502,15 @@ def _conv(name: str, x: Tensor, weight: Tensor, bias, s: int,
     taps = [((i % s) * s + j % s, (i // s) * wq + j // s)
             for i in range(kh) for j in range(kw)]
     slack = taps[-1][1]
-    wtaps = np.moveaxis(weight.data.reshape(k, c, kh * kw), 2, 0).copy()
+    wtaps = weight.data.reshape(k, c, kh * kw).transpose(2, 0, 1).copy()
+    macs = k * c * len(taps) * cols
 
     # Column blocks of _BLOCK grid elements keep each tap's product and
     # the running sum in cache; the first tap writes the block, later
     # taps add, and the bias adds last.
     step = max(_BLOCK // k, 1)
     blocks = -(-cols // step)
-    split = _splits(k * cols, blocks, k * c * len(taps) * cols)
+    split = _splits(k * cols, blocks, macs)
     xq = _phases(xd, s, p, hq, wq, slack, split)
     grid = np.empty((k, cols), dtype=np.result_type(xq, wtaps))
     bias_d = None if bias is None else bias.data[:, None]
@@ -511,24 +537,42 @@ def _conv(name: str, x: Tensor, weight: Tensor, bias, s: int,
     out = Tensor(out_d.reshape((n, k) + (1,) * (x.ndim - 4) + (ho, wo)))
     inputs = (x, weight) if bias is None else (x, weight, bias)
 
+    def weight_grad(gq):
+        # Rebuilt rather than kept from the forward: holding every phase
+        # buffer until backward costs more memory than time.
+        xq = _phases(xd, s, p, hq, wq, slack)
+        return np.stack([gq @ xq[ph, :, off:off + cols].T
+                         for ph, off in taps], axis=2).reshape(weight.shape)
+
+    def input_grad(gq):
+        dxq = np.zeros((s * s, c, cols + slack), dtype=gq.dtype)
+        for wt, (ph, off) in zip(wtaps, taps):
+            dxq[ph, :, off:off + cols] += wt.T @ gq
+        return _unphase(dxq, s, p, n, h, w, hq, wq).reshape(x.shape)
+
     def adjoint(g):
         # The output gradient on the forward's grid, zero where it cropped.
         gq = _phases(g.reshape(n, k, ho, wo), 1, 0, hq, wq)[0]
         if bias is not None and bias.requires_grad:
             accumulate(bias, gq.sum(axis=1))
-        if weight.requires_grad:
-            # Rebuilt rather than kept from the forward: holding every
-            # phase buffer until backward costs more memory than time.
-            xq = _phases(xd, s, p, hq, wq, slack)
-            accumulate(weight, np.stack([gq @ xq[ph, :, off:off + cols].T
-                                         for ph, off in taps], axis=2)
-                       .reshape(weight.shape))
-        if x.requires_grad:
-            dxq = np.zeros((s * s, c, cols + slack), dtype=gq.dtype)
-            for wt, (ph, off) in zip(wtaps, taps):
-                dxq[ph, :, off:off + cols] += wt.T @ gq
-            accumulate(x, _unphase(dxq, s, p, n, h, w, hq, wq).reshape(
-                x.shape))
+        # The weight and input gradients read only gq and the forward's
+        # operands, so a large conv computes them on two threads; each is
+        # the serial path's sums, and they accumulate in the serial order.
+        need = (weight.requires_grad, x.requires_grad)
+        grads = [None, None]
+
+        def task(i):
+            grads[i] = (weight_grad, input_grad)[i](gq)
+
+        if all(need) and macs >= _SPLIT_ADJOINT_MACS and _usable_cpus() >= 2:
+            _share(task, 2)
+        else:
+            for i in (0, 1):
+                if need[i]:
+                    task(i)
+        for t, gt in zip((weight, x), grads):
+            if gt is not None:
+                accumulate(t, gt)
 
     return record(name, inputs, out, adjoint)
 

@@ -71,10 +71,12 @@ class Tensor:
     """
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
-        if not np.issubdtype(arr.dtype, np.floating):
-            arr = arr.astype(np.float64)
-        self.data = arr
+        if not (type(data) is np.ndarray and dtype is None
+                and data.dtype.kind == "f"):
+            data = np.asarray(data, dtype=dtype)
+            if not np.issubdtype(data.dtype, np.floating):
+                data = data.astype(np.float64)
+        self.data = data
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
 

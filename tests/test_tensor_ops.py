@@ -1,6 +1,7 @@
 """Forward-path checks of the tensor primitives against independent oracles."""
 
 import _thread
+import hashlib
 import multiprocessing
 import os
 import struct
@@ -540,24 +541,170 @@ class TestTwoThreadConv:
         calls = split_calls(monkeypatch)
         want = gated_conv("3x3", 1, np.float32)[0].tobytes()
         assert len(calls) == 2
+        step = training_step_digest()
+        # The step's forward stays serial; its large conv adjoints split.
+        step_splits = len(calls) - 2
+        assert step_splits >= 1 and set(calls[2:]) == {2}
 
         def child():
-            return gated_conv("3x3", 1, np.float32)[0].tobytes(), len(calls)
+            return (gated_conv("3x3", 1, np.float32)[0].tobytes(),
+                    training_step_digest(), len(calls))
 
-        assert in_fork_child(child) == (want, 4)
+        assert in_fork_child(child) == (want, step, 4 + 2 * step_splits)
 
     @needs_fork
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="needs CPU affinity")
     def test_child_pinned_to_one_cpu_starts_no_helper_thread(self):
         serial = gated_conv("3x3", 1, np.float32)[0].tobytes()
+        step = training_step_digest()
 
         def child():
             os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
             started = logged_starts()
-            return gated_conv("3x3", 1, np.float32)[0].tobytes(), started
+            return (gated_conv("3x3", 1, np.float32)[0].tobytes(),
+                    training_step_digest(), started)
 
-        assert in_fork_child(child) == (serial, [])
+        assert in_fork_child(child) == (serial, step, [])
+
+
+def training_step_digest():
+    """sha256 of every parameter gradient of one float32 4x64x64 training
+    step (forward, loss, backward) of a seed-0 ChangeDetector."""
+    from arcd.loss import total_loss
+    from arcd.network import ChangeDetector
+    model = ChangeDetector(seed=0, dtype=np.float32)
+    rng = np.random.default_rng(9)
+    t1, t2 = (Tensor(rng.uniform(0.0, 1.0, (4, 3, 64, 64)).astype(np.float32))
+              for _ in range(2))
+    g = (rng.uniform(0.0, 1.0, (4, 1, 64, 64)) > 0.5).astype(np.float32)
+    bundle = model(t1, t2)
+    backward(total_loss(bundle.side_probs(), bundle.change,
+                        bundle.uncertainty, g, model.cfg).total)
+    digest = hashlib.sha256()
+    for _, p in model.named_parameters():
+        digest.update(p.grad.tobytes())
+    return digest.hexdigest()
+
+
+# (op, input shape without N, weight shape, stride, padding) of
+# convolutions whose adjoint does at least 2^24 multiply-adds at N = 4.
+ADJOINT_CONVS = {
+    "3x3": ("conv2d", (32, 32, 32), (32, 32, 3, 3), 1, 1),
+    "stride-2": ("conv2d", (16, 64, 64), (32, 16, 3, 3), 2, 1),
+    "conv3d": ("conv3d", (16, 2, 32, 32), (16, 16, 2, 3, 3), 1, (0, 1, 1)),
+}
+
+
+def adjoint_grads(case, n, dtype, weight_grad=True, input_grad=True):
+    """Bytes of the input, weight and bias gradients (None where not
+    required) of ``sum(conv(x) * r)`` for ADJOINT_CONVS[case] at batch
+    size n."""
+    op, xs, ws, stride, padding = ADJOINT_CONVS[case]
+    rng = np.random.default_rng(80 + n)
+    x = Tensor(rng.standard_normal((n,) + xs).astype(dtype),
+               requires_grad=input_grad)
+    w = Tensor(rng.standard_normal(ws).astype(dtype),
+               requires_grad=weight_grad)
+    b = Tensor(rng.standard_normal(ws[0]).astype(dtype), requires_grad=True)
+    if op == "conv3d":
+        y = ops.conv3d(x, w, b, padding=padding)
+    else:
+        y = ops.conv2d(x, w, b, stride=stride, padding=padding)
+    r = Tensor(rng.standard_normal(y.shape).astype(dtype))
+    backward(ops.sum_all(ops.mul(y, r)))
+    return [None if t.grad is None else t.grad.tobytes() for t in (x, w, b)]
+
+
+class TestTwoThreadConvAdjoint:
+    """A convolution's adjoint of at least _SPLIT_ADJOINT_MACS multiply-adds
+    that needs both the weight and the input gradient computes them on
+    two threads, with the bytes of the serial path."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("case", sorted(ADJOINT_CONVS))
+    def test_split_adjoint_is_the_serial_bytes(self, monkeypatch, case, n,
+                                               dtype):
+        # At N = 8 the 3x3 case's forward splits too; the adjoint's two
+        # tasks are the last shared call.
+        calls = split_calls(monkeypatch)
+        threaded = adjoint_grads(case, n, dtype)
+        forward = calls[:-1]
+        assert calls[-1] == 2 and None not in threaded
+        monkeypatch.setattr(ops, "_SPLIT_ADJOINT_MACS", 1 << 62)
+        calls.clear()
+        assert adjoint_grads(case, n, dtype) == threaded
+        assert calls == forward
+
+    @pytest.mark.parametrize("needs", ["weight", "input"])
+    def test_one_gradient_starts_no_helper_thread(self, monkeypatch, needs):
+        split_calls(monkeypatch)
+        both = adjoint_grads("3x3", 4, np.float32)
+        started = logged_starts(monkeypatch)
+        one = adjoint_grads("3x3", 4, np.float32,
+                            weight_grad=needs == "weight",
+                            input_grad=needs == "input")
+        assert started == []
+        kept = 1 if needs == "weight" else 0
+        assert one[kept] == both[kept] and one[2] == both[2]
+        assert one[1 - kept] is None
+
+    def test_gate_counts_multiply_adds_and_cpus(self, monkeypatch):
+        calls = split_calls(monkeypatch)
+        macs = 32 * 32 * 9 * 34 * 34    # K * C * taps * grid columns, N = 1
+        monkeypatch.setattr(ops, "_SPLIT_ADJOINT_MACS", macs + 1)
+        adjoint_grads("3x3", 1, np.float32)
+        assert calls == []
+        monkeypatch.setattr(ops, "_SPLIT_ADJOINT_MACS", macs)
+        adjoint_grads("3x3", 1, np.float32)
+        assert calls == [2]
+        monkeypatch.setattr(ops, "_usable_cpus", lambda: 1)
+        adjoint_grads("3x3", 8, np.float32)
+        assert calls == [2]
+
+    @pytest.mark.parametrize("failing", ["weight", "input"])
+    def test_exception_reaches_the_caller_after_both_tasks(self, monkeypatch,
+                                                           failing):
+        # The weight task rebuilds the input's phases and the input task
+        # crops its gradient out of a phase buffer, both at padding 1
+        # (the output gradient's grid and the forward's N = 4 crop use
+        # padding 0); the failing task waits until the other has started.
+        split_calls(monkeypatch)
+        op, xs, ws, stride, padding = ADJOINT_CONVS["3x3"]
+        rng = np.random.default_rng(64)
+        x = Tensor(rng.standard_normal((4,) + xs).astype(np.float32),
+                   requires_grad=True)
+        w = Tensor(rng.standard_normal(ws).astype(np.float32),
+                   requires_grad=True)
+        loss = ops.sum_all(ops.conv2d(x, w, None, stride, padding))
+        err = ValueError(f"{failing} task")
+        other_started = threading.Event()
+        finished = []
+
+        def task(name, fn):
+            def wrapped(a, s, p, *rest, **kw):
+                if p == 0:
+                    return fn(a, s, p, *rest, **kw)
+                if name == failing:
+                    other_started.wait(5.0)
+                    raise err
+                other_started.set()
+                time.sleep(0.05)
+                out = fn(a, s, p, *rest, **kw)
+                finished.append(name)
+                return out
+            return wrapped
+
+        monkeypatch.setattr(ops, "_phases", task("weight", ops._phases))
+        monkeypatch.setattr(ops, "_unphase", task("input", ops._unphase))
+        before = _thread._count()
+        with pytest.raises(ValueError) as info:
+            backward(loss)
+        assert info.value is err
+        assert helpers_ended(before)
+        assert finished == ["input" if failing == "weight" else "weight"]
+        assert x.grad is None and w.grad is None
 
 
 # [N, 8, 256, 256] holds exactly _SPLIT_BLOCKS blocks of elements at N = 1.
@@ -597,6 +744,14 @@ GATED_ELEMENTWISE = {
 }
 
 
+def sigmoid_by_masked_copy(d):
+    e = np.exp(-np.abs(d))
+    den = 1.0 + e
+    y = 1.0 / den
+    np.copyto(y, e / den, where=d < 0)
+    return y
+
+
 class TestTwoThreadElementwise:
     """Elementwise primitives on outputs of _SPLIT_BLOCKS blocks or more
     compute row blocks on two threads, with the bytes of the serial
@@ -623,6 +778,28 @@ class TestTwoThreadElementwise:
         monkeypatch.setattr(ops, "_splits", lambda elements: False)
         assert self.output(case, n, dtype) == threaded
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_selects_the_masked_copy_bytes(self, monkeypatch, dtype):
+        # The masked copy's bytes, split and serial, on NaN, -NaN,
+        # infinities, signed zeros and +-1e30 among random values.
+        calls = split_calls(monkeypatch)
+        rng = np.random.default_rng(75)
+        d = (6.0 * rng.standard_normal((1,) + MAP)).astype(dtype)
+        specials = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0,
+                             1e30, -1e30], dtype)
+        flat = d.reshape(-1)
+        flat[rng.choice(flat.size, 4000, replace=False)] = np.resize(
+            specials, 4000)
+        assert np.signbit(specials[1]) and np.signbit(specials[5])
+        with no_grad():
+            threaded = ops.sigmoid(Tensor(d)).data.tobytes()
+            assert len(calls) == 1
+            monkeypatch.setattr(ops, "_splits", lambda elements: False)
+            serial = ops.sigmoid(Tensor(d)).data.tobytes()
+            small = ops.sigmoid(Tensor(specials)).data.tobytes()
+        assert threaded == serial == sigmoid_by_masked_copy(d).tobytes()
+        assert small == sigmoid_by_masked_copy(specials).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_upsampling_above_the_gate_shares_its_bands(self, monkeypatch,

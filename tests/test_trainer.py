@@ -315,6 +315,32 @@ class TestTrainLoop:
         b = train(samples, cfg, tmp_path / "b")
         assert a.log_path.read_text() == b.log_path.read_text()
 
+    def test_split_conv_adjoints_keep_the_log_bytes(self, monkeypatch,
+                                                    tmp_path):
+        # Every conv adjoint that needs both gradients splits them over two
+        # threads, or none does: the same loss log and checkpoint bytes.
+        from arcd.autodiff import ops
+        splits = []
+        share = ops._share
+
+        def logged(fn, blocks):
+            splits.append(blocks)
+            share(fn, blocks)
+
+        monkeypatch.setattr(ops, "_share", logged)
+        monkeypatch.setattr(ops, "_usable_cpus", lambda: 2)
+        samples = _tiny_dataset()
+        cfg = TrainConfig(max_iteration=3, batch_size=2, seed=6,
+                          checkpoint_every=0)
+        runs = []
+        for gate in (0, 1 << 62):
+            monkeypatch.setattr(ops, "_SPLIT_ADJOINT_MACS", gate)
+            result = train(samples, cfg, tmp_path / str(gate))
+            runs.append((result.log_path.read_bytes(),
+                         result.checkpoint_path.read_bytes()))
+        assert splits and set(splits) == {2}
+        assert runs[0] == runs[1]
+
     def test_log_lr_column_reproduces_closed_form(self, tmp_path):
         samples = _tiny_dataset()
         cfg = TrainConfig(max_iteration=5, batch_size=2, seed=1,
