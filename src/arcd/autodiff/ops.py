@@ -28,10 +28,10 @@ CPUs.  The calling thread and a helper thread started for the call then
 take blocks from one shared counter: a convolution's phase copies
 (channel ranges) and column blocks, the bands of an upsampling pass, and
 the row blocks of ``relu``, ``sigmoid``, ``add``, ``mul``, ``concat``,
-``stack_time`` and an unrecorded ``batch_norm``.  Each block runs the
-serial path's operations on its elements (the same GEMM calls and tap
-order, the same elementwise steps in the same order), so outputs are
-bit-identical.  The large maps and convolutions of a 1024x1024
+``stack_time`` and ``batch_norm``'s normalization pass.  Each block
+runs the serial path's operations on its elements (the same GEMM calls
+and tap order, the same elementwise steps in the same order), so outputs
+are bit-identical.  The large maps and convolutions of a 1024x1024
 inference pass the gate; no map of a 256x256 input or of a 4x64x64
 training step's forward does.
 
@@ -57,10 +57,15 @@ groups, each normalized by its own statistics: the network runs the two
 epochs of a Siamese pair as one batch of 2N and keeps per-epoch
 statistics that way.
 
-An output that will not be recorded keeps no buffer for an adjoint:
-``batch_norm`` then takes each block from input to output in one buffer
-(minus the mean, times the inverse deviation, times gamma, plus beta),
-and ``sigmoid`` reuses its intermediates, with the same values.
+``batch_norm`` has one normalization pass for training and eval,
+recorded or not: by row blocks of the grouped layout, xhat = (x - mean)
+times the inverse deviation, then y = xhat times gamma plus beta.
+Training centres its input once, before the pass, and takes the
+variance from that centred copy with the steps of numpy's ``var``; eval
+subtracts the running mean inside the pass.  An output that will not be
+recorded keeps no buffer for an adjoint: ``batch_norm`` then writes
+every step into the output buffer, and ``sigmoid`` reuses its
+intermediates, with the same values.
 
 The two training losses, ``bce`` and ``dice``, are single primitives
 with closed-form adjoints; their target is a constant.
@@ -709,70 +714,65 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     elif groups < 1 or x.shape[0] % groups:
         raise ShapeError(f"batch_norm: a batch of {x.shape[0]} (axis 0) does "
                          f"not split into {groups} equal groups")
-    axes = (0,) + tuple(range(2, x.ndim))
-    # Each group is a leading slice: [G, N/G, C, ...] with statistics
-    # [G, C] that broadcast as [G, 1, C, 1, ...].
+    # Every step runs on the grouped layout [G, N/G, C, ...]: statistics
+    # [G, 1, C, 1, ...] and gamma, beta [C, 1, ...] broadcast against it.
     split = (groups, x.shape[0] // groups) + x.shape[1:]
     gaxes = (1,) + tuple(range(3, x.ndim + 1))
-    sshape = (groups, 1, c) + (1,) * (x.ndim - 2)
+    cshape = (c,) + (1,) * (x.ndim - 2)
     m = x.size // (c * groups)
     xg = x.data.reshape(split)
+    scale, shift = gamma.data.reshape(cshape), beta.data.reshape(cshape)
+    # xhat needs a buffer of its own only when an adjoint will read it.
+    xhat = np.empty(split, x.dtype)
+    y = (np.empty(split, np.result_type(xhat, scale, shift))
+         if will_record((x, gamma, beta)) else xhat)
 
     if training:
         if m <= 1:
             raise ShapeError("batch_norm: training mode needs more than one "
                              "value per channel in each group "
                              "(N / groups * spatial > 1)")
-        mu = xg.mean(axis=gaxes)
-        var = xg.var(axis=gaxes)
+        # np.var's steps (mean, centre, square, sum, divide by the count),
+        # so its bytes, with the centred copy kept as xhat.
+        mu = xg.mean(axis=gaxes, keepdims=True)
+        np.subtract(xg, mu, out=xhat)
+        var = np.square(xhat).sum(axis=gaxes)
+        var /= np.intp(m)
         if grad_enabled():
-            for mu_g, var_g in zip(mu, var):
+            for mu_g, var_g in zip(mu.reshape(groups, c), var):
                 running_mean *= (1.0 - BN_MOMENTUM)
                 running_mean += BN_MOMENTUM * mu_g
                 running_var *= (1.0 - BN_MOMENTUM)
                 running_var += BN_MOMENTUM * var_g * (m / (m - 1))
     else:
-        mu = running_mean.astype(x.dtype, copy=False)
+        mu = running_mean.astype(x.dtype, copy=False).reshape(cshape)
         var = running_var.astype(x.dtype, copy=False)
+    istd = (1.0 / np.sqrt(var + x.dtype.type(eps))).reshape(
+        (groups, 1) + cshape)
 
-    istd = (1.0 / np.sqrt(var + x.data.dtype.type(eps))).reshape(sshape)
-    mu = mu.reshape(sshape)
-    bshape = (1, c) + (1,) * (x.ndim - 2)
-    scale, shift = gamma.data.reshape(bshape), beta.data.reshape(bshape)
-    if will_record((x, gamma, beta)):
-        xhat = xg - mu
-        xhat *= istd
-        xhat = xhat.reshape(x.shape)
-        y = scale * xhat
-        y += shift
-    else:
-        # Nothing keeps xhat for an adjoint: each block of rows goes
-        # -mean, *istd, *gamma, +beta in the output buffer.
-        xhat = None
-        y = np.empty(split, np.result_type(xg, mu))
+    def normalize(ix):
+        xb, yb = xhat[ix], y[ix]
+        if not training:
+            np.subtract(xg[ix], mu, out=xb)
+        xb *= istd
+        np.multiply(xb, scale, out=yb)
+        yb += shift
 
-        def normalize(ix):
-            yb = y[ix]
-            np.subtract(xg[ix], mu, out=yb)
-            yb *= istd
-            yb *= scale
-            yb += shift
-
-        _by_rows(normalize, split)
-        y = y.reshape(x.shape)
-    out = Tensor(y)
+    _by_rows(normalize, split)
+    out = Tensor(y.reshape(x.shape))
 
     def adjoint(g):
+        g = g.reshape(split)
+        axes = (0,) + gaxes
         accumulate(beta, g.sum(axis=axes))
         accumulate(gamma, (g * xhat).sum(axis=axes))
         if not x.requires_grad:
             return
-        dxhat = (g * scale).reshape(split)
+        dxhat = g * scale
         if training:
-            xh = xhat.reshape(split)
-            s1 = dxhat.sum(axis=gaxes).reshape(sshape)
-            s2 = (dxhat * xh).sum(axis=gaxes).reshape(sshape)
-            gx = (istd / m) * (m * dxhat - s1 - xh * s2)
+            s1 = dxhat.sum(axis=gaxes, keepdims=True)
+            s2 = (dxhat * xhat).sum(axis=gaxes, keepdims=True)
+            gx = (istd / m) * (m * dxhat - s1 - xhat * s2)
         else:
             gx = dxhat * istd
         accumulate(x, gx.reshape(x.shape))

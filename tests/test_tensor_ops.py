@@ -954,6 +954,117 @@ class TestBatchNorm:
         grouped = ops.batch_norm(x, *args, training=False, groups=2)
         assert np.array_equal(plain.data, grouped.data)
 
+    @staticmethod
+    def _reference(x, gamma, beta, rm, rv, seed, training, update, groups,
+                   eps):
+        """Output, running statistics after the call (updated in place
+        when ``update``) and the three gradients for the upstream gradient
+        ``seed``, one group at a time on the [N, C, ...] layout: numpy
+        ``mean``/``var``, then
+        (x - mean) * istd * gamma + beta, and the closed-form adjoint in
+        the same operation order."""
+        c = x.shape[1]
+        axes = (0,) + tuple(range(2, x.ndim))
+        bshape = (1, c) + (1,) * (x.ndim - 2)
+        scale, shift = gamma.reshape(bshape), beta.reshape(bshape)
+        n = x.shape[0] // groups if training else x.shape[0]
+        xhat, gx = np.empty_like(x), np.empty_like(x)
+        for lo in range(0, x.shape[0], n):
+            xs, gs = x[lo:lo + n], seed[lo:lo + n]
+            m = xs.size // c
+            if training:
+                mu = xs.mean(axis=axes, keepdims=True)
+                var = xs.var(axis=axes, keepdims=True)
+                if update:
+                    rm *= 1.0 - ops.BN_MOMENTUM
+                    rm += ops.BN_MOMENTUM * mu.reshape(c)
+                    rv *= 1.0 - ops.BN_MOMENTUM
+                    rv += ops.BN_MOMENTUM * var.reshape(c) * (m / (m - 1))
+            else:
+                mu = rm.astype(x.dtype).reshape(bshape)
+                var = rv.astype(x.dtype).reshape(bshape)
+            istd = 1.0 / np.sqrt(var + x.dtype.type(eps))
+            xh = (xs - mu) * istd
+            dxhat = gs * scale
+            if training:
+                s1 = dxhat.sum(axis=axes, keepdims=True)
+                s2 = (dxhat * xh).sum(axis=axes, keepdims=True)
+                gx[lo:lo + n] = (istd / m) * (m * dxhat - s1 - xh * s2)
+            else:
+                gx[lo:lo + n] = dxhat * istd
+            xhat[lo:lo + n] = xh
+        y = xhat * scale + shift
+        return (y, rm, rv, gx, (seed * xhat).sum(axis=axes),
+                seed.sum(axis=axes))
+
+    @pytest.mark.parametrize("mode", ["recorded", "unrecorded", "no_grad",
+                                      "eval", "eval_unrecorded"])
+    @pytest.mark.parametrize("shape", [(4, 3, 5, 6), (4, 3, 2, 5, 6)],
+                             ids=["rank4", "rank5"])
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_reference_bit_for_bit(self, dtype, groups, shape, mode):
+        rng = np.random.default_rng(7)
+        c = shape[1]
+        xd = (rng.standard_normal(shape) * 1.7 + 0.4).astype(dtype)
+        xd[shape[0] // 2:] *= dtype(0.3)     # the groups' statistics differ
+        gd = rng.standard_normal(c).astype(dtype)
+        bd = rng.standard_normal(c).astype(dtype)
+        seed = rng.standard_normal(shape).astype(dtype)
+        rm0 = rng.standard_normal(c).astype(dtype)
+        rv0 = rng.uniform(0.5, 2.0, c).astype(dtype)
+        training = mode in ("recorded", "unrecorded", "no_grad")
+        recorded = mode in ("recorded", "eval")
+        x, gamma, beta = (Tensor(a.copy(), requires_grad=recorded)
+                          for a in (xd, gd, bd))
+        rm, rv = rm0.copy(), rv0.copy()
+        if mode == "no_grad":
+            with no_grad():
+                y = ops.batch_norm(x, gamma, beta, rm, rv, training=True,
+                                   groups=groups)
+        else:
+            y = ops.batch_norm(x, gamma, beta, rm, rv, training=training,
+                               groups=groups)
+        if recorded:
+            backward(ops.sum_all(ops.mul(y, Tensor(seed))))
+        else:
+            clear_record()
+
+        updates = mode in ("recorded", "unrecorded")
+        wy, wrm, wrv, wgx, wgg, wgb = self._reference(
+            xd, gd, bd, rm0.copy(), rv0.copy(), seed, training, updates,
+            groups, 1e-5)
+
+        def same(a, b):
+            return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+        assert same(y.data, wy)
+        assert np.array_equal(x.data, xd)
+        if updates:
+            assert same(rm, wrm) and same(rv, wrv)
+        else:
+            assert same(rm, rm0) and same(rv, rv0)
+        if recorded:
+            assert same(x.grad, wgx)
+            assert same(gamma.grad, wgg)
+            assert same(beta.grad, wgb)
+
+    def test_unrecorded_eval_allocates_only_its_output(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.standard_normal((1, 16, 256, 256)).astype(np.float32))
+        gamma = Tensor(rng.standard_normal(16).astype(np.float32))
+        beta = Tensor(rng.standard_normal(16).astype(np.float32))
+        rm = rng.standard_normal(16).astype(np.float32)
+        rv = rng.uniform(0.5, 2.0, 16).astype(np.float32)
+        tracemalloc.start()
+        try:
+            with no_grad():
+                y = ops.batch_norm(x, gamma, beta, rm, rv, training=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * y.data.nbytes
+
 
 class TestElementwise:
     def test_one_minus(self):
