@@ -10,8 +10,8 @@ Both convolutions share one core that sums one GEMM per kernel tap over
 the stride phases of the zero-padded input, with no patch matrix; its
 adjoint rebuilds the phases instead of keeping them alive until backward.
 ``conv3d`` accepts only a kernel spanning the whole time axis (kt == T,
-no time padding, equal spatial padding), the one case the network uses,
-which is ``conv2d`` with time folded into channels.  At batch size 1 a
+no time padding, equal spatial padding), the one case the network uses:
+``conv2d`` with time folded into channels, giving [N,K,H',W'].  At N = 1 a
 convolution's output is a strided view of the top-left corner of its
 output grid rather than a cropped copy; the bias adds to each column
 block of the grid after its last tap.  A pointwise convolution (1x1
@@ -47,10 +47,11 @@ path's GEMM calls, and accumulates them in the serial order.
 ``upsample_bilinear`` applies its interpolation operator, which holds at
 most two weights per row, one band of 64 output rows or columns at a
 time: each band is one GEMM with the input range that holds its
-weights, on the operands the dense contraction used.  On every shape the
-network upsamples these are the bytes of the dense contraction; on some
-other shapes they differ in the last bit.  Its adjoint stays the two
-dense contractions.
+weights, on the operands the dense contraction used.  Whether those are
+the dense contraction's bytes depends on the BLAS kernel: on OpenBLAS's
+SkylakeX kernel they are on every shape the network upsamples, while
+under its Haswell and Zen kernels some shapes differ in the last bit.
+Its adjoint stays the two dense contractions.
 
 Training-mode ``batch_norm`` can split its batch into equal leading
 groups, each normalized by its own statistics: the network runs the two
@@ -490,7 +491,7 @@ def _conv(name: str, x: Tensor, weight: Tensor, bias, s: int,
 
     ``x`` is [N, C, ..., H, W] and ``weight`` [K, C, ..., kh, kw] whose
     middle axes span the input's, so they fold into channels: the output
-    is [N, K, 1, ..., H', W'] at stride s and padding p.  Callers validate
+    is [N, K, H', W'] at stride s and padding p.  Callers validate
     shapes.  Tap (i, j) reads phase (i mod s, j mod s) at column offset
     (i div s)*wq + (j div s); the output is the H' x W' corner of each
     hq x wq block of the [K, N*hq*wq] output grid."""
@@ -539,7 +540,7 @@ def _conv(name: str, x: Tensor, weight: Tensor, bias, s: int,
         out_d = grid.reshape(1, k, hq, wq)[:, :, :ho, :wo]
     else:
         out_d = _unphase(grid[None], 1, 0, n, ho, wo, hq, wq)
-    out = Tensor(out_d.reshape((n, k) + (1,) * (x.ndim - 4) + (ho, wo)))
+    out = Tensor(out_d)
     inputs = (x, weight) if bias is None else (x, weight, bias)
 
     def weight_grad(gq):
@@ -557,7 +558,7 @@ def _conv(name: str, x: Tensor, weight: Tensor, bias, s: int,
 
     def adjoint(g):
         # The output gradient on the forward's grid, zero where it cropped.
-        gq = _phases(g.reshape(n, k, ho, wo), 1, 0, hq, wq)[0]
+        gq = _phases(g, 1, 0, hq, wq)[0]
         if bias is not None and bias.requires_grad:
             accumulate(bias, gq.sum(axis=1))
         # The weight and input gradients read only gq and the forward's
@@ -604,7 +605,7 @@ def _pointwise(name: str, x: Tensor, weight: Tensor, bias) -> Tensor:
     blocks = -(-(h * w) // step)
     _blocks(columns, blocks,
             _splits(k * n * h * w, blocks, k * wd.shape[1] * n * h * w))
-    out = Tensor(out_d.reshape((n, k) + (1,) * (x.ndim - 4) + (h, w)))
+    out = Tensor(out_d.reshape(n, k, h, w))
     inputs = (x, weight) if bias is None else (x, weight, bias)
 
     def adjoint(g):
@@ -652,7 +653,7 @@ def conv3d(x: Tensor, weight: Tensor, bias, padding=(0, 0, 0)) -> Tensor:
 
     Only a kernel spanning the whole time axis is supported (kt == T, no
     time padding, equal spatial padding), which makes it a conv2d of the
-    input with time folded into channels; the output is [N,K,1,H',W'].
+    input with time folded into channels; the output is [N,K,H',W'].
     """
     if x.ndim != 5:
         raise ShapeError(f"conv3d: input must be [N,C,T,H,W], got {x.shape}")
@@ -700,7 +701,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     call of its own; the running estimates take one update per slice, in
     slice order (exponential moving average with weight ``BN_MOMENTUM``,
     unbiased variance).  A batch that does not split evenly is a
-    ShapeError.  Eval mode applies the running estimates as constants and
+    ShapeError, as are a ``gamma`` or ``beta`` of another dtype than
+    ``x``.  Eval mode applies the running estimates as constants and
     ignores ``groups``.
     """
     if x.ndim < 2:
@@ -709,6 +711,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batch_norm: gamma/beta must have shape ({c},) to "
                          f"match channel axis 1")
+    if gamma.dtype != x.dtype or beta.dtype != x.dtype:
+        raise ShapeError(f"batch_norm: gamma/beta must have dtype {x.dtype}")
     if not training:
         groups = 1
     elif groups < 1 or x.shape[0] % groups:

@@ -92,8 +92,8 @@ def _krm(rng):
 def _oue(rng):
     branch = UncertaintyBranch(4, 4, gated=True, rng=rng, dtype=np.float64)
 
-    def wrapped(i1, i2, d2):
-        u, p = branch(i1, i2, d2)
+    def wrapped(images, d2):
+        u, p = branch(images, d2)
         return ops.add(projected_sum(u, 21), projected_sum(p, 22))
 
     wrapped.named_parameters = branch.named_parameters
@@ -216,13 +216,13 @@ def build_suite() -> list[SuiteCase]:
         SuiteCase("loss_total", 1e-4, _loss_case),
         SuiteCase("fam_block", 1e-3, _module_case(
             _fam, [(1, 6, 4, 4), (1, 4, 8, 8)])),
-        SuiteCase("tde_block", 1e-3, _module_case(
-            _tde, [(2, 4, 5, 5), (2, 4, 5, 5)])),
+        # Training-mode blocks take a stacked Siamese pair, as in the network.
+        SuiteCase("tde_block", 1e-3, _module_case(_tde, [(4, 4, 5, 5)])),
         SuiteCase("channel_attention", 1e-3, _module_case(_se, [(2, 8, 4, 4)])),
         SuiteCase("krm_block", 1e-3, _module_case(
             _krm, [(1, 4, 8, 8), (1, 6, 4, 4), (1, 1, 8, 8), (1, 1, 4, 4)])),
         SuiteCase("oue_branch", 1e-3, _module_case(
-            _oue, [(1, 3, 32, 32), (1, 3, 32, 32), (1, 4, 8, 8)],
+            _oue, [(2, 3, 32, 32), (1, 4, 8, 8)],
             max_checks=8)),
         SuiteCase("full_network_32", 1e-3, _full_network_case),
     ]

@@ -17,11 +17,11 @@ stride; only the training loss brings those to full resolution.
 Every difference path is symmetric under swapping the two input epochs,
 so the predicted change map is invariant to temporal order.
 
-The Siamese parts (encoder, decoder, texture encoder, and each
-difference block's two stacking orders) go through ``siamese``.  In
-training it runs both epochs as one batch of 2N, whose batch norms
-normalise each epoch's half with its own statistics; eval keeps two
-batch-N calls, since stacking there only raises peak memory.
+The two epochs travel as one Siamese pair (``siamese_pair``): in
+training one batch of 2N, whose batch norms normalise each epoch's half
+with its own statistics; in eval two batch-N calls, since stacking there
+only raises peak memory.  ``siamese`` runs the shared stages on a pair,
+and each difference block turns a pair into one batch-N map.
 
 Forwards drop each intermediate map once its last reader has run, so an
 eval forward under ``no_grad`` holds only live activations; in training
@@ -94,33 +94,29 @@ def variant_config(name: str) -> AblationConfig:
                          f"(valid: {', '.join(VARIANTS)})") from None
 
 
-def siamese(training: bool, stages, first, second):
-    """Run ``stages`` in turn on ``first`` and on ``second``.
+def siamese_pair(training: bool, first: Tensor, second: Tensor):
+    """In training the stacked tensor [first; second], else the tuple."""
+    if training:
+        return ops.concat([first, second], axis=0)
+    return first, second
 
-    Each of ``first`` and ``second`` is a tensor or a tuple of tensors,
-    and each stage takes one such value.  In training both go through
-    each stage once, joined along the batch axis as [first; second], and
-    the last stage's output (a tensor or a list of tensors) is split
-    back into the two halves.  In eval each stage runs on ``first`` and
-    then on ``second``.  Either way it returns the two results.
-    """
-    if not training:
+
+def siamese(stages, pair):
+    """Run ``stages`` in turn on a Siamese pair: a stacked pair goes
+    through each stage once, a tuple pair's epochs one after the other.
+    The result is a pair of the same kind, or a list of them where the
+    stages end in a list of maps (a feature pyramid)."""
+    if isinstance(pair, Tensor):
         for stage in stages:
-            first = stage(first)
-            second = stage(second)
-        return first, second
-    if isinstance(first, Tensor):
-        n = first.shape[0]
-        x = ops.concat([first, second], axis=0)
-    else:
-        n = first[0].shape[0]
-        x = tuple(ops.concat([a, b], axis=0) for a, b in zip(first, second))
+            pair = stage(pair)
+        return pair
+    first, second = pair
     for stage in stages:
-        x = stage(x)
-    if isinstance(x, Tensor):
-        return ops.narrow(x, 0, 0, n), ops.narrow(x, 0, n, 2 * n)
-    return ([ops.narrow(t, 0, 0, n) for t in x],
-            [ops.narrow(t, 0, n, 2 * n) for t in x])
+        first = stage(first)
+        second = stage(second)
+    if isinstance(first, list):
+        return list(zip(first, second))
+    return first, second
 
 
 def conflict_attention(p_low: Tensor, p_high_up: Tensor) -> Tensor:
@@ -177,12 +173,12 @@ class GatedFusion(Module):
 
 
 class TemporalDifference(Module):
-    """Order-symmetric change features from a pair of feature maps.
+    """Order-symmetric change features from a Siamese pair of feature maps.
 
     Both stacking orders [a,b] and [b,a] pass through one shared
-    temporal-extent-2 3-d conv block (as one batch in training, with
-    per-order batch statistics); summing the two order responses makes
-    the output exactly symmetric in its inputs.
+    temporal-extent-2 3-d conv block (for a stacked pair [a; b] as one
+    batch, with per-order batch statistics); summing the two order
+    responses makes the output exactly symmetric in its inputs.
     """
 
     def __init__(self, channels: int, *, rng, dtype=np.float32):
@@ -192,17 +188,18 @@ class TemporalDifference(Module):
         self.proj = Conv2d(channels, channels, 1, rng=rng, dtype=dtype)
 
     def _order_response(self, first: Tensor, second: Tensor) -> Tensor:
-        r = ops.relu(self.bn(self.conv(ops.stack_time(first, second))))
-        n, c, _, h, w = r.shape
-        return ops.reshape(r, (n, c, h, w))
+        return ops.relu(self.bn(self.conv(ops.stack_time(first, second))))
 
-    def forward(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.shape != b.shape:
-            raise ShapeError(f"temporal difference: inputs {a.shape} and "
-                             f"{b.shape} must match")
-        ab, ba = siamese(self.training,
-                         [lambda pair: self._order_response(*pair)],
-                         (a, b), (b, a))
+    def forward(self, pair) -> Tensor:
+        if isinstance(pair, Tensor):
+            n = pair.shape[0] // 2
+            swapped = ops.concat([ops.narrow(pair, 0, n, 2 * n),
+                                  ops.narrow(pair, 0, 0, n)], axis=0)
+            r = self._order_response(pair, swapped)
+            ab, ba = ops.narrow(r, 0, 0, n), ops.narrow(r, 0, n, 2 * n)
+        else:
+            a, b = pair
+            ab, ba = self._order_response(a, b), self._order_response(b, a)
         return self.proj(ops.add(ab, ba))
 
 
@@ -286,7 +283,7 @@ class TextureEncoder(Module):
 class UncertaintyBranch(Module):
     """Pixel-wise confidence from image texture and fine change features.
 
-    Texture features of both epochs run through a shared down-conv stack,
+    Texture features of the image pair run through a shared down-conv stack,
     their symmetric temporal difference is fused with the finest change
     features, and a sigmoid head upsampled to full resolution scores how
     likely each pixel is to be mispredicted.
@@ -301,11 +298,8 @@ class UncertaintyBranch(Module):
                                 rng=rng, dtype=dtype)
         self.head = Conv2d(texture_ch, 1, 1, rng=rng, dtype=dtype)
 
-    def forward(self, img1: Tensor, img2: Tensor,
-                d2: Tensor) -> tuple[Tensor, Tensor]:
-        t1, t2 = siamese(self.training, [self.texture], img1, img2)
-        dt = self.diff(t1, t2)
-        del t1, t2
+    def forward(self, images, d2: Tensor) -> tuple[Tensor, Tensor]:
+        dt = self.diff(siamese([self.texture], images))
         if dt.shape[2:] != d2.shape[2:]:
             raise ShapeError(f"uncertainty branch: texture features "
                              f"{dt.shape} and change features {d2.shape} "
@@ -477,10 +471,10 @@ class ChangeDetector(Module):
         if img1.shape != img2.shape:
             raise ShapeError(f"change detector: epoch images {img1.shape} and "
                              f"{img2.shape} must match")
-        dec1, dec2 = siamese(self.training, [self.encoder, self.decoder],
-                             img1, img2)
-        diffs = [diff(a, b) for diff, a, b in zip(self.diffs, dec1, dec2)]
-        del dec1, dec2
+        images = siamese_pair(self.training, img1, img2)
+        levels = siamese([self.encoder, self.decoder], images)
+        diffs = [diff(pair) for diff, pair in zip(self.diffs, levels)]
+        del levels
         logits = [head(d) for head, d in zip(self.level_heads, diffs)]
 
         refined_logits: list[Tensor] = []
@@ -505,7 +499,7 @@ class ChangeDetector(Module):
         u_feats = None
         p_unc = None
         if self.cfg.use_oue:
-            u_feats, p_unc = self.uncertainty(img1, img2, diffs[0])
+            u_feats, p_unc = self.uncertainty(images, diffs[0])
         final = trunk
         if self.cfg.fuse_uncertainty:
             final = ops.add(trunk, self.final_fuse(trunk, u_feats))

@@ -98,7 +98,7 @@ def test_c2_oracle_equivalence():
     got3 = ops.conv3d(Tensor(x3), Tensor(w3), Tensor(b3),
                       padding=(0, 1, 1)).data
     conv_err = max(conv_err, np.abs(
-        got3 - naive_conv3d(x3, w3, b3, (0, 1, 1))).max())
+        got3 - naive_conv3d(x3, w3, b3, (0, 1, 1))[:, :, 0]).max())
 
     counts_exact = True
     for _ in range(100):

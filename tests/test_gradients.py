@@ -129,7 +129,8 @@ def test_independent_records_across_threads():
         rng = np.random.default_rng(seed + 1)
         a = Tensor(rng.standard_normal((1, 4, 6, 6)), requires_grad=True)
         b = Tensor(rng.standard_normal((1, 4, 6, 6)), requires_grad=True)
-        backward(ops.sum_all(ops.mul(tde(a, b), tde(a, b))))
+        pair = ops.concat([a, b], axis=0)     # stacked, as in training
+        backward(ops.sum_all(ops.mul(tde(pair), tde(pair))))
         results[tag] = a.grad.copy()
 
     serial = {}

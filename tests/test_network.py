@@ -19,6 +19,8 @@ from arcd.nn import BatchNorm
 from arcd.loss import total_loss
 from arcd.trainer import predict
 
+import predict_digest
+
 
 def rand_images(rng, n=1, size=64, dtype=np.float64):
     return (Tensor(rng.uniform(0, 1, (n, 3, size, size)).astype(dtype)),
@@ -94,13 +96,15 @@ class TestGatedFusion:
 
 class TestTemporalDifference:
     def test_exact_symmetry(self):
+        # In training the block takes the pair stacked, as the network
+        # passes it.
         rng = np.random.default_rng(8)
         tde = TemporalDifference(4, rng=rng, dtype=np.float64)
-        a = Tensor(rng.standard_normal((2, 4, 6, 6)))
-        b = Tensor(rng.standard_normal((2, 4, 6, 6)))
+        a = rng.standard_normal((2, 4, 6, 6))
+        b = rng.standard_normal((2, 4, 6, 6))
         with no_grad():
-            ab = tde(a, b)
-            ba = tde(b, a)
+            ab = tde(Tensor(np.concatenate([a, b])))
+            ba = tde(Tensor(np.concatenate([b, a])))
         assert np.array_equal(ab.data, ba.data)
 
     def test_equal_inputs_double_single_response(self):
@@ -115,10 +119,14 @@ class TestTemporalDifference:
         assert np.array_equal(summed.data, 2.0 * single.data)
 
     def test_shape_mismatch_rejected(self):
+        # A tuple pair of unequal maps, and a stacked pair of odd batch.
         rng = np.random.default_rng(11)
         tde = TemporalDifference(4, rng=rng, dtype=np.float64)
         with pytest.raises(ShapeError):
-            tde(Tensor(np.zeros((1, 4, 5, 5))), Tensor(np.zeros((1, 4, 4, 5))))
+            tde((Tensor(np.zeros((1, 4, 5, 5))),
+                 Tensor(np.zeros((1, 4, 4, 5)))))
+        with pytest.raises(ShapeError):
+            tde(Tensor(np.zeros((3, 4, 5, 5))))
 
 
 class TestAttentionMaps:
@@ -389,26 +397,57 @@ class TestFullNetwork:
         assert peak <= 4.0e6
 
     # sha256 of predict's change then uncertainty bytes for
-    # ChangeDetector(seed=5) on the 1x256^2 pair below, computed before
-    # the Siamese trunk was stacked in training: the eval path must keep
-    # these bits.  OpenBLAS at one thread; another BLAS kernel may round
-    # differently.
+    # ChangeDetector(seed=5) on a fixed 1x256^2 pair, by OpenBLAS kernel
+    # at one BLAS thread (tests/predict_digest.py prints them): GEMM
+    # kernels sum in different orders.  The SkylakeX pair was computed
+    # before the Siamese trunk was stacked in training: the eval path must
+    # keep these bits.  The others were recorded later through
+    # OPENBLAS_CORETYPE, which selects Katmai for Prescott and Core2,
+    # Nehalem for Atom, Sandybridge for Bulldozer and Haswell for Zen.
     PREDICT_SHA256 = {
-        "float32": "50770c71c9f57942535add1475a2253a"
-                   "3b7bd629d32faa32f96dd48b49b21dcd",
-        "float64": "aedbd2b55edce004f5da9261fb0c8866"
-                   "1b79397b405abb21d0a075d26248697b",
+        "SkylakeX": {
+            "float32": "50770c71c9f57942535add1475a2253a"
+                       "3b7bd629d32faa32f96dd48b49b21dcd",
+            "float64": "aedbd2b55edce004f5da9261fb0c8866"
+                       "1b79397b405abb21d0a075d26248697b",
+        },
+        "Haswell": {
+            "float32": "349f794bd80bdf4bbe4aa00d2a264ec6"
+                       "d7ae91e86d3186ff673ff2394a9c97f5",
+            "float64": "77b85fe3e5d38dfacd33d1b21d882400"
+                       "1f2a898a0ea14c982f024f8435c96619",
+        },
+        "Sandybridge": {
+            "float32": "2bf614ce5dd82d3e404625c44f5d85f3"
+                       "28668b5a9568e466f24cb824278cc83c",
+            "float64": "e2c516e34c0c59e6c5b33aa315b5158c"
+                       "6cd515fed09bf669972f818f6c854bf7",
+        },
+        "Nehalem": {
+            "float32": "46bf151882eed8b4c6a7b9cfa53c3d8a"
+                       "67f006412edea0a1ad4c6f926c9d7efe",
+            "float64": "ce4b8fb0c39a7fc931817f95d2f822af"
+                       "28ec1e113bacc337de34abf1807c0507",
+        },
+        "Katmai": {
+            "float32": "3143a349c5b311d30a950b38d3086b7e"
+                       "2323ae91664fd1bf0f660230611a103d",
+            "float64": "4f3605e1b5a881efd069332557bc4684"
+                       "6425050efb95af8916c931e9da5c74bf",
+        },
     }
 
-    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("dtype", predict_digest.DTYPES)
     def test_predict_outputs_are_pinned(self, dtype):
-        model = ChangeDetector(seed=5, dtype=np.dtype(dtype))
-        img1, img2 = np.random.default_rng(256).uniform(0.0, 1.0,
-                                                        (2, 3, 256, 256))
-        change, unc = predict(model, img1, img2)
+        core = predict_digest.blas_core()
+        if core not in self.PREDICT_SHA256:
+            pytest.fail(f"no predict digest recorded for OpenBLAS kernel "
+                        f"{core!r}; `PYTHONPATH=src python "
+                        f"tests/predict_digest.py` prints its digests")
+        change, unc = predict_digest.predict_outputs(dtype)
         assert change.dtype == dtype
-        digest = hashlib.sha256(change.tobytes() + unc.tobytes()).hexdigest()
-        assert digest == self.PREDICT_SHA256[dtype]
+        assert (predict_digest.digest(change, unc)
+                == self.PREDICT_SHA256[core][dtype])
 
     def test_predict_bits_unchanged_by_two_thread_convs(self, monkeypatch):
         # At 512^2 the stems, the stride-2 maps and the largest batch
@@ -505,10 +544,10 @@ class TestFullNetwork:
         else:
             predict(model, t1.data[0], t2.data[0])
 
-    @pytest.mark.parametrize("variant", sorted(VARIANTS))
-    def test_training_step_records_no_dead_work(self, variant):
-        # Every recorded op feeds the loss: nothing computes a map that
-        # no gradient reaches (a 4x64^2 step of "full" records 387).
+    @staticmethod
+    def _training_step_record(variant):
+        """The loss and the operation record of a float32 4x64^2
+        training step's forward and loss."""
         clear_record()
         cfg = VARIANTS[variant]
         model = ChangeDetector(cfg, seed=0, dtype=np.float32)
@@ -519,16 +558,42 @@ class TestFullNetwork:
         loss = total_loss(bundle.side_probs(), bundle.change,
                           bundle.uncertainty, g, cfg).total
         entries = tensor._STATE.entries
+        clear_record()
+        return loss, entries
+
+    # Record entries of that step, per variant.
+    RECORD_LENGTHS = {
+        "full": 377, "fam-wo-gate": 362, "wo-oue": 338, "oue-wo-ual": 369,
+        "oue-boundary-sup": 377, "wo-krm": 167, "krm-wo-coa": 356,
+        "krm-wo-rea": 368, "krm-wo-coa-rea": 341,
+    }
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_training_step_records_no_dead_work(self, variant):
+        # Every recorded op feeds the loss: nothing computes a map that
+        # no gradient reaches.
+        loss, entries = self._training_step_record(variant)
         live, dead = {id(loss)}, []
         for entry in reversed(entries):
             if id(entry.output) in live:
                 live.update(id(t) for t in entry.inputs)
             else:
                 dead.append(entry.op)
-        if variant == "full":
-            assert len(entries) == 387
-        clear_record()
+        assert len(entries) == self.RECORD_LENGTHS[variant]
         assert dead == []
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_training_step_never_rejoins_split_halves(self, variant):
+        # No concat takes narrow views of one tensor and joins them back
+        # into that tensor: the stacked pair stays stacked.
+        _, entries = self._training_step_record(variant)
+        source = {id(e.output): e.inputs[0] for e in entries
+                  if e.op == "narrow"}
+        for e in entries:
+            if e.op == "concat" and all(id(t) in source for t in e.inputs):
+                src = source[id(e.inputs[0])]
+                assert not (all(source[id(t)] is src for t in e.inputs)
+                            and np.array_equal(e.output.data, src.data))
 
     @staticmethod
     def _batches_seen(monkeypatch):
@@ -595,12 +660,8 @@ class TestFullNetwork:
             if isinstance(m, BatchNorm):
                 m.groups = 1
 
-        def per_epoch(training, stages, first, second):
-            for stage in stages:
-                first, second = stage(first), stage(second)
-            return first, second
-
-        monkeypatch.setattr(network, "siamese", per_epoch)
+        monkeypatch.setattr(network, "siamese_pair",
+                            lambda training, first, second: (first, second))
         want = step(reference)
 
         for a, b in zip(stacked[0], want[0]):

@@ -1,6 +1,7 @@
 """Forward-path checks of the tensor primitives against independent oracles."""
 
 import _thread
+import contextlib
 import hashlib
 import multiprocessing
 import os
@@ -209,7 +210,7 @@ class TestConv3d:
         w = Tensor(np.array([2.0, 7.0]).reshape(1, 1, 2, 1, 1))
         b = Tensor(np.zeros(1))
         y = ops.conv3d(x, w, b)
-        assert y.shape == (1, 1, 1, 1, 1)
+        assert y.shape == (1, 1, 1, 1)
         assert y.data.item() == pytest.approx(2 * 3 + 7 * 5, abs=1e-15)
 
     def test_zero_input_broadcasts_bias(self):
@@ -226,7 +227,8 @@ class TestConv3d:
         w = Tensor(rng.standard_normal((3, 2, 2, 3, 3)))
         b = Tensor(rng.standard_normal(3))
         got = ops.conv3d(x, w, b, padding=(0, 1, 1)).data
-        want = naive_conv3d(x.data, w.data, b.data, (0, 1, 1))
+        want = naive_conv3d(x.data, w.data, b.data, (0, 1, 1))[:, :, 0]
+        assert got.shape == want.shape
         assert np.abs(got - want).max() < 1e-12
 
     def test_equals_conv2d_with_time_folded_into_channels(self):
@@ -239,11 +241,11 @@ class TestConv3d:
         b2 = Tensor(b.data.copy(), requires_grad=True)
         seed = rng.standard_normal((2, 4, 5, 6))
         y3 = ops.conv3d(x, w, b, padding=(0, 1, 1))
-        backward(ops.sum_all(ops.mul(y3, Tensor(seed.reshape(y3.shape)))))
+        backward(ops.sum_all(ops.mul(y3, Tensor(seed))))
         y2 = ops.conv2d(x2, w2, b2, padding=1)
         backward(ops.sum_all(ops.mul(y2, Tensor(seed))))
-        assert y3.shape == (2, 4, 1, 5, 6)
-        assert np.array_equal(y3.data.reshape(y2.shape), y2.data)
+        assert y3.shape == (2, 4, 5, 6)
+        assert np.array_equal(y3.data, y2.data)
         assert np.array_equal(x.grad.reshape(x2.shape), x2.grad)
         assert np.array_equal(w.grad.reshape(w2.shape), w2.grad)
         assert np.array_equal(b.grad, b2.grad)
@@ -279,7 +281,7 @@ class TestSingleSampleConv:
             x = rng.standard_normal((1, 3, 2, 7, 9))
             w = rng.standard_normal((4, 3, 2, 3, 3))
             y = ops.conv3d(Tensor(x), Tensor(w), Tensor(b), padding=(0, 1, 1))
-            want = naive_conv3d(x, w, b, (0, 1, 1))
+            want = naive_conv3d(x, w, b, (0, 1, 1))[:, :, 0]
         assert y.shape == want.shape
         assert np.abs(y.data - want).max() < 1e-12
 
@@ -944,6 +946,23 @@ class TestBatchNorm:
         with pytest.raises(ShapeError, match="3 .*axis 0.* 2 equal groups"):
             ops.batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)),
                            np.zeros(2), np.ones(2), training=True, groups=2)
+
+    @pytest.mark.parametrize("wide", ["gamma", "beta"])
+    @pytest.mark.parametrize("recorded", [False, True])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_gamma_or_beta_of_another_dtype_rejected(self, training,
+                                                     recorded, wide):
+        # Accepted, a float64 gamma and beta made a float32 input's output
+        # float64 when recorded and float32 under no_grad.
+        x = Tensor(np.ones((2, 2, 4, 4), np.float32))
+        gamma, beta = (Tensor(np.ones(2, np.float64 if name == wide
+                                      else np.float32), requires_grad=True)
+                       for name in ("gamma", "beta"))
+        rm, rv = np.zeros(2, np.float32), np.ones(2, np.float32)
+        with contextlib.nullcontext() if recorded else no_grad():
+            with pytest.raises(ShapeError, match="dtype float32"):
+                ops.batch_norm(x, gamma, beta, rm, rv, training=training)
+        assert record_length() == 0
 
     def test_eval_ignores_groups(self):
         rng = np.random.default_rng(6)
