@@ -6,9 +6,8 @@ when numpy came first, since the cap cannot hold then.  The cap is for
 BLAS only: a forward op that passes the gate of ``arcd.autodiff.ops``
 (convolutions, upsampling and the elementwise ops of a 1024x1024
 inference) shares its blocks with a helper thread wherever the process
-may run on two CPUs, and so does a large convolution's adjoint, whose
-weight and input gradients run on two threads.  No sum or contraction
-is cut, so the output bits are the same.
+may run on two CPUs; no adjoint leaves the calling thread.  No sum or
+contraction is cut, so the output bits are the same.
 """
 
 import os as _os

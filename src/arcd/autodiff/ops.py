@@ -37,12 +37,9 @@ training step's forward does.
 
 No sum or BLAS contraction is ever cut, since how it is cut decides its
 rounding: reductions (``global_avg_pool``, training batch-norm
-statistics, the losses, ``sum_all``) and every adjoint but one run
-serially.  A tap convolution's adjoint of at least
-``_SPLIT_ADJOINT_MACS`` multiply-adds that needs both its weight and its
-input gradient computes the two on two threads, each with the serial
-path's GEMM calls, and accumulates them in the serial order.
-``ARCD_THREADS`` caps BLAS threads only and does not select either path.
+statistics, the losses, ``sum_all``) run serially, and no adjoint leaves
+the calling thread.  ``ARCD_THREADS`` caps BLAS threads only and does
+not select either path.
 
 ``upsample_bilinear`` applies its interpolation operator, which holds at
 most two weights per row, one band of 64 output rows or columns at a
@@ -122,15 +119,6 @@ _SPLIT_BLOCKS = 8
 # blocks does at most 30M at 256x256 (the stems 7.2M) and 1.9M in a
 # 4x64x64 training step.
 _SPLIT_MACS = 1 << 26
-# A convolution's adjoint of at least this many multiply-adds computes
-# its weight and input gradients on two threads.  Timed one by one, the
-# tap-conv adjoints of a 4x64x64 training step that need both gradients
-# all ran 0.1 to 0.4 ms slower split up to 7.0M multiply-adds; from
-# 10.1M on, 7 of 9 gained 0.06 to 0.58 ms and two lost at most 0.12 ms.
-# The gate sits between and splits 10 adjoints per step.  Over 150
-# alternating steps each, 2^22 was faster than serial in 105, 2^23 in
-# 118 and 2^24 in 121, with medians inside the host's noise.
-_SPLIT_ADJOINT_MACS = 1 << 23
 # Output rows or columns per band of an upsampling contraction.
 _BAND = 64
 
@@ -509,14 +497,13 @@ def _conv(name: str, x: Tensor, weight: Tensor, bias, s: int,
             for i in range(kh) for j in range(kw)]
     slack = taps[-1][1]
     wtaps = weight.data.reshape(k, c, kh * kw).transpose(2, 0, 1).copy()
-    macs = k * c * len(taps) * cols
 
     # Column blocks of _BLOCK grid elements keep each tap's product and
     # the running sum in cache; the first tap writes the block, later
     # taps add, and the bias adds last.
     step = max(_BLOCK // k, 1)
     blocks = -(-cols // step)
-    split = _splits(k * cols, blocks, macs)
+    split = _splits(k * cols, blocks, k * c * len(taps) * cols)
     xq = _phases(xd, s, p, hq, wq, slack, split)
     grid = np.empty((k, cols), dtype=np.result_type(xq, wtaps))
     bias_d = None if bias is None else bias.data[:, None]
@@ -561,24 +548,10 @@ def _conv(name: str, x: Tensor, weight: Tensor, bias, s: int,
         gq = _phases(g, 1, 0, hq, wq)[0]
         if bias is not None and bias.requires_grad:
             accumulate(bias, gq.sum(axis=1))
-        # The weight and input gradients read only gq and the forward's
-        # operands, so a large conv computes them on two threads; each is
-        # the serial path's sums, and they accumulate in the serial order.
-        need = (weight.requires_grad, x.requires_grad)
-        grads = [None, None]
-
-        def task(i):
-            grads[i] = (weight_grad, input_grad)[i](gq)
-
-        if all(need) and macs >= _SPLIT_ADJOINT_MACS and _usable_cpus() >= 2:
-            _share(task, 2)
-        else:
-            for i in (0, 1):
-                if need[i]:
-                    task(i)
-        for t, gt in zip((weight, x), grads):
-            if gt is not None:
-                accumulate(t, gt)
+        if weight.requires_grad:
+            accumulate(weight, weight_grad(gq))
+        if x.requires_grad:
+            accumulate(x, input_grad(gq))
 
     return record(name, inputs, out, adjoint)
 

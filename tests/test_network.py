@@ -1,7 +1,6 @@
 """Architecture contracts: shapes, symmetry, ablation semantics, wiring."""
 
 import hashlib
-import sys
 import threading
 import tracemalloc
 
@@ -20,6 +19,7 @@ from arcd.loss import total_loss
 from arcd.trainer import predict
 
 import predict_digest
+from test_tensor_ops import logged_starts
 
 
 def rand_images(rng, n=1, size=64, dtype=np.float64):
@@ -516,17 +516,9 @@ class TestFullNetwork:
                                                  (64, 4, True)])
     def test_small_maps_stay_serial(self, monkeypatch, size, n, training):
         # Every map of a 256^2 input and of a 4x64^2 training step's
-        # forward is below the gates, even where two CPUs are free.  In
-        # backward only a conv adjoint may split, into its two gradients.
-        conv_adjoint = next(code for code in ops._conv.__code__.co_consts
-                            if getattr(code, "co_name", "") == "adjoint")
-        share = ops._share
-        in_backward = []
-
+        # forward is below the gates, even where two CPUs are free, and
+        # backward starts no thread.
         def no_split(fn, blocks):
-            if (in_backward and blocks == 2
-                    and sys._getframe(1).f_code is conv_adjoint):
-                return share(fn, blocks)
             raise AssertionError("a small map split its work")
 
         monkeypatch.setattr(ops, "_usable_cpus", lambda: 2)
@@ -539,8 +531,9 @@ class TestFullNetwork:
             g = np.zeros((n, 1, size, size), dtype=np.float32)
             loss = total_loss(bundle.side_probs(), bundle.change,
                               bundle.uncertainty, g, model.cfg).total
-            in_backward.append(True)
+            started = logged_starts(monkeypatch)
             backward(loss)
+            assert started == []
         else:
             predict(model, t1.data[0], t2.data[0])
 

@@ -544,15 +544,12 @@ class TestTwoThreadConv:
         want = gated_conv("3x3", 1, np.float32)[0].tobytes()
         assert len(calls) == 2
         step = training_step_digest()
-        # The step's forward stays serial; its large conv adjoints split.
-        step_splits = len(calls) - 2
-        assert step_splits >= 1 and set(calls[2:]) == {2}
 
         def child():
             return (gated_conv("3x3", 1, np.float32)[0].tobytes(),
                     training_step_digest(), len(calls))
 
-        assert in_fork_child(child) == (want, step, 4 + 2 * step_splits)
+        assert in_fork_child(child) == (want, step, 4)
 
     @needs_fork
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
@@ -589,8 +586,8 @@ def training_step_digest():
     return digest.hexdigest()
 
 
-# (op, input shape without N, weight shape, stride, padding) of
-# convolutions whose adjoint does at least 2^24 multiply-adds at N = 4.
+# (op, input shape without N, weight shape, stride, padding) of a 3x3,
+# a stride-2 and a temporal convolution.
 ADJOINT_CONVS = {
     "3x3": ("conv2d", (32, 32, 32), (32, 32, 3, 3), 1, 1),
     "stride-2": ("conv2d", (16, 64, 64), (32, 16, 3, 3), 2, 1),
@@ -618,95 +615,24 @@ def adjoint_grads(case, n, dtype, weight_grad=True, input_grad=True):
     return [None if t.grad is None else t.grad.tobytes() for t in (x, w, b)]
 
 
-class TestTwoThreadConvAdjoint:
-    """A convolution's adjoint of at least _SPLIT_ADJOINT_MACS multiply-adds
-    that needs both the weight and the input gradient computes them on
-    two threads, with the bytes of the serial path."""
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n", [4, 8])
-    @pytest.mark.parametrize("case", sorted(ADJOINT_CONVS))
-    def test_split_adjoint_is_the_serial_bytes(self, monkeypatch, case, n,
-                                               dtype):
-        # At N = 8 the 3x3 case's forward splits too; the adjoint's two
-        # tasks are the last shared call.
-        calls = split_calls(monkeypatch)
-        threaded = adjoint_grads(case, n, dtype)
-        forward = calls[:-1]
-        assert calls[-1] == 2 and None not in threaded
-        monkeypatch.setattr(ops, "_SPLIT_ADJOINT_MACS", 1 << 62)
-        calls.clear()
-        assert adjoint_grads(case, n, dtype) == threaded
-        assert calls == forward
+class TestConvAdjoint:
+    """A convolution's adjoint runs on the calling thread, and a gradient
+    it computes alone has the bytes it has when both are computed."""
 
     @pytest.mark.parametrize("needs", ["weight", "input"])
-    def test_one_gradient_starts_no_helper_thread(self, monkeypatch, needs):
+    @pytest.mark.parametrize("case", sorted(ADJOINT_CONVS))
+    def test_one_gradient_is_the_bytes_of_both(self, monkeypatch, case,
+                                               needs):
         split_calls(monkeypatch)
-        both = adjoint_grads("3x3", 4, np.float32)
+        both = adjoint_grads(case, 4, np.float32)
         started = logged_starts(monkeypatch)
-        one = adjoint_grads("3x3", 4, np.float32,
+        one = adjoint_grads(case, 4, np.float32,
                             weight_grad=needs == "weight",
                             input_grad=needs == "input")
         assert started == []
         kept = 1 if needs == "weight" else 0
         assert one[kept] == both[kept] and one[2] == both[2]
         assert one[1 - kept] is None
-
-    def test_gate_counts_multiply_adds_and_cpus(self, monkeypatch):
-        calls = split_calls(monkeypatch)
-        macs = 32 * 32 * 9 * 34 * 34    # K * C * taps * grid columns, N = 1
-        monkeypatch.setattr(ops, "_SPLIT_ADJOINT_MACS", macs + 1)
-        adjoint_grads("3x3", 1, np.float32)
-        assert calls == []
-        monkeypatch.setattr(ops, "_SPLIT_ADJOINT_MACS", macs)
-        adjoint_grads("3x3", 1, np.float32)
-        assert calls == [2]
-        monkeypatch.setattr(ops, "_usable_cpus", lambda: 1)
-        adjoint_grads("3x3", 8, np.float32)
-        assert calls == [2]
-
-    @pytest.mark.parametrize("failing", ["weight", "input"])
-    def test_exception_reaches_the_caller_after_both_tasks(self, monkeypatch,
-                                                           failing):
-        # The weight task rebuilds the input's phases and the input task
-        # crops its gradient out of a phase buffer, both at padding 1
-        # (the output gradient's grid and the forward's N = 4 crop use
-        # padding 0); the failing task waits until the other has started.
-        split_calls(monkeypatch)
-        op, xs, ws, stride, padding = ADJOINT_CONVS["3x3"]
-        rng = np.random.default_rng(64)
-        x = Tensor(rng.standard_normal((4,) + xs).astype(np.float32),
-                   requires_grad=True)
-        w = Tensor(rng.standard_normal(ws).astype(np.float32),
-                   requires_grad=True)
-        loss = ops.sum_all(ops.conv2d(x, w, None, stride, padding))
-        err = ValueError(f"{failing} task")
-        other_started = threading.Event()
-        finished = []
-
-        def task(name, fn):
-            def wrapped(a, s, p, *rest, **kw):
-                if p == 0:
-                    return fn(a, s, p, *rest, **kw)
-                if name == failing:
-                    other_started.wait(5.0)
-                    raise err
-                other_started.set()
-                time.sleep(0.05)
-                out = fn(a, s, p, *rest, **kw)
-                finished.append(name)
-                return out
-            return wrapped
-
-        monkeypatch.setattr(ops, "_phases", task("weight", ops._phases))
-        monkeypatch.setattr(ops, "_unphase", task("input", ops._unphase))
-        before = _thread._count()
-        with pytest.raises(ValueError) as info:
-            backward(loss)
-        assert info.value is err
-        assert helpers_ended(before)
-        assert finished == ["input" if failing == "weight" else "weight"]
-        assert x.grad is None and w.grad is None
 
 
 # [N, 8, 256, 256] holds exactly _SPLIT_BLOCKS blocks of elements at N = 1.
