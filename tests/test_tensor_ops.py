@@ -595,29 +595,74 @@ ADJOINT_CONVS = {
 }
 
 
+def adjoint_inputs(case, n, dtype):
+    """x, w, b and r of ``sum(conv(x, w, b) * r)`` for ADJOINT_CONVS[case]
+    at batch size n."""
+    op, xs, ws, stride, padding = ADJOINT_CONVS[case]
+    pads = padding if op == "conv3d" else (padding, padding)
+    grid = tuple((size + 2 * p - k) // stride + 1
+                 for size, p, k in zip(xs[-2:], pads[-2:], ws[-2:]))
+    rng = np.random.default_rng(80 + n)
+    return tuple(rng.standard_normal(shape).astype(dtype) for shape in
+                 ((n,) + xs, ws, ws[0], (n, ws[0]) + grid))
+
+
 def adjoint_grads(case, n, dtype, weight_grad=True, input_grad=True):
     """Bytes of the input, weight and bias gradients (None where not
-    required) of ``sum(conv(x) * r)`` for ADJOINT_CONVS[case] at batch
-    size n."""
-    op, xs, ws, stride, padding = ADJOINT_CONVS[case]
-    rng = np.random.default_rng(80 + n)
-    x = Tensor(rng.standard_normal((n,) + xs).astype(dtype),
-               requires_grad=input_grad)
-    w = Tensor(rng.standard_normal(ws).astype(dtype),
-               requires_grad=weight_grad)
-    b = Tensor(rng.standard_normal(ws[0]).astype(dtype), requires_grad=True)
+    required) of ``sum(conv(x, w, b) * r)`` for ADJOINT_CONVS[case] at
+    batch size n."""
+    op, _, _, stride, padding = ADJOINT_CONVS[case]
+    xd, wd, bd, rd = adjoint_inputs(case, n, dtype)
+    x = Tensor(xd, requires_grad=input_grad)
+    w = Tensor(wd, requires_grad=weight_grad)
+    b = Tensor(bd, requires_grad=True)
     if op == "conv3d":
         y = ops.conv3d(x, w, b, padding=padding)
     else:
         y = ops.conv2d(x, w, b, stride=stride, padding=padding)
-    r = Tensor(rng.standard_normal(y.shape).astype(dtype))
-    backward(ops.sum_all(ops.mul(y, r)))
+    backward(ops.sum_all(ops.mul(y, Tensor(rd))))
     return [None if t.grad is None else t.grad.tobytes() for t in (x, w, b)]
 
 
+def tap_adjoint(x, w, r, stride, padding):
+    """float64 dL/dx, dL/dw and dL/db of L = sum(conv(x, w, b) * r) for a
+    2-d or 3-d convolution, one kernel tap at a time.  A 3-d r may lack
+    the time axis, which conv3d's kernel spans."""
+    x, w, r = (a.astype(np.float64) for a in (x, w, r))
+    r = r.reshape(r.shape[:2] + (1,) * (x.ndim - r.ndim) + r.shape[2:])
+    pads = padding if isinstance(padding, tuple) else (padding,) * (x.ndim - 2)
+    xp = np.pad(x, [(0, 0), (0, 0)] + [(p, p) for p in pads])
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for tap in np.ndindex(*w.shape[2:]):
+        window = (slice(None), slice(None)) + tuple(
+            slice(t, t + stride * (size - 1) + 1, stride)
+            for t, size in zip(tap, r.shape[2:]))
+        gw[(slice(None), slice(None)) + tap] = np.einsum(
+            "nk...,nc...->kc", r, xp[window], optimize=True)
+        gxp[window] += np.einsum("nk...,kc->nc...", r, w[(...,) + tap],
+                                 optimize=True)
+    crop = (slice(None), slice(None)) + tuple(
+        slice(p, p + size) for p, size in zip(pads, x.shape[2:]))
+    return gxp[crop], gw, r.sum(axis=(0,) + tuple(range(2, r.ndim)))
+
+
 class TestConvAdjoint:
-    """A convolution's adjoint runs on the calling thread, and a gradient
-    it computes alone has the bytes it has when both are computed."""
+    """A convolution's adjoint runs on the calling thread, matches a
+    tap-by-tap oracle, and a gradient it computes alone has the bytes it
+    has when both are computed."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("case", sorted(ADJOINT_CONVS))
+    def test_adjoint_matches_tap_oracle(self, case, n, dtype):
+        _, _, _, stride, padding = ADJOINT_CONVS[case]
+        x, w, _, r = adjoint_inputs(case, n, dtype)
+        wants = tap_adjoint(x, w, r, stride, padding)
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        for got, want in zip(adjoint_grads(case, n, dtype), wants):
+            got = np.frombuffer(got, dtype=dtype).reshape(want.shape)
+            assert np.abs(got - want).max() / np.abs(want).max() < tol
 
     @pytest.mark.parametrize("needs", ["weight", "input"])
     @pytest.mark.parametrize("case", sorted(ADJOINT_CONVS))
