@@ -9,12 +9,13 @@ squeeze-excite gate [N,C,1,1] and the single-channel attention maps
 Both convolutions share one core that sums one GEMM per kernel tap over
 the stride phases of the zero-padded input, with no patch matrix; its
 adjoint rebuilds the phases instead of keeping them alive until backward.
-``conv3d`` accepts only a kernel spanning the whole time axis (kt == T,
-no time padding, equal spatial padding), the one case the network uses:
-``conv2d`` with time folded into channels, giving [N,K,H',W'].  At N = 1 a
-convolution's output is a strided view of the top-left corner of its
-output grid rather than a cropped copy; the bias adds to each column
-block of the grid after its last tap.  A pointwise convolution (1x1
+``conv3d`` convolves a pair of [N,C,H,W] maps, taken as the two time
+steps of one input, with a kernel that spans both, the one case the
+network uses: the core reads both maps into one phase buffer, time
+folded into channels, and gives [N,K,H',W'] and one gradient per map.
+At N = 1 a convolution's output is a strided view of the top-left corner
+of its output grid rather than a cropped copy; the bias adds to each
+column block of the grid after its last tap.  A pointwise convolution (1x1
 kernel, stride 1, no padding: squeeze-excite, transitions, heads, gates
 and projections) skips the taps and the grid: it is a batched matmul
 [K,C] @ [N,C,cols] per column block, and its adjoint two matmuls and a
@@ -27,11 +28,11 @@ multiply-adds; and the process must be allowed to run on two or more
 CPUs.  The calling thread and a helper thread started for the call then
 take blocks from one shared counter: a convolution's phase copies
 (channel ranges) and column blocks, the bands of an upsampling pass, and
-the row blocks of ``relu``, ``sigmoid``, ``add``, ``mul``, ``concat``,
-``stack_time`` and ``batch_norm``'s normalization pass.  Each block
-runs the serial path's operations on its elements (the same GEMM calls
-and tap order, the same elementwise steps in the same order), so outputs
-are bit-identical.  The large maps and convolutions of a 1024x1024
+the row blocks of ``relu``, ``sigmoid``, ``add``, ``mul``, ``concat``
+and ``batch_norm``'s normalization pass.  Each block runs the serial
+path's operations on its elements (the same GEMM calls and tap order,
+the same elementwise steps in the same order), so outputs are
+bit-identical.  The large maps and convolutions of a 1024x1024
 inference pass the gate; no map of a 256x256 input or of a 4x64x64
 training step's forward does.
 
@@ -46,8 +47,9 @@ most two weights per row, one band of 64 output rows or columns at a
 time: each band is one GEMM with the input range that holds its
 weights, on the operands the dense contraction used.  Whether those are
 the dense contraction's bytes depends on the BLAS kernel: on OpenBLAS's
-SkylakeX kernel they are on every shape the network upsamples, while
-under its Haswell and Zen kernels some shapes differ in the last bit.
+SkylakeX, Sandybridge, Nehalem and Katmai kernels they are on every
+shape the network upsamples, while under its Haswell kernel (which Zen
+hosts use too) some shapes differ in the last bit.
 Its adjoint stays the two dense contractions.
 
 Training-mode ``batch_norm`` can split its batch into equal leading
@@ -85,7 +87,7 @@ from .tensor import (Tensor, ShapeError, accumulate, as_tensor, grad_enabled,
 
 __all__ = [
     "add", "mul", "one_minus", "relu", "sigmoid", "concat", "narrow",
-    "stack_time", "reshape", "conv2d", "conv3d", "batch_norm",
+    "reshape", "conv2d", "conv3d", "batch_norm",
     "upsample_bilinear", "global_avg_pool", "sum_all", "bce", "dice",
 ]
 
@@ -390,28 +392,6 @@ def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return record("narrow", (x,), out, adjoint)
 
 
-def stack_time(a: Tensor, b: Tensor) -> Tensor:
-    """Stack two [N,C,H,W] maps into [N,C,2,H,W] along a new time axis."""
-    same_shape("stack_time", a, b)
-    if a.ndim != 4:
-        raise ShapeError(f"stack_time: expected rank-4 inputs, got {a.shape}")
-    n, c, h, w = a.shape
-    out_d = np.empty((n, c, 2, h, w), np.result_type(a.data, b.data))
-
-    def block(ix):
-        out_d[:, :, 0][ix] = a.data[ix]
-        out_d[:, :, 1][ix] = b.data[ix]
-
-    _by_rows(block, a.shape)
-    out = Tensor(out_d)
-
-    def adjoint(g):
-        accumulate(a, g[:, :, 0])
-        accumulate(b, g[:, :, 1])
-
-    return record("stack_time", (a, b), out, adjoint)
-
-
 def reshape(x: Tensor, shape) -> Tensor:
     """View with a new shape of the same total size."""
     shape = tuple(shape)
@@ -440,23 +420,27 @@ def _phase_map(s: int, p: int, h: int, w: int):
                                      (q + p) // s + len(range(q, w, s)))))
 
 
-def _phases(a: np.ndarray, s: int, p: int, hq: int, wq: int,
+def _phases(parts, s: int, p: int, hq: int, wq: int,
             slack: int = 0, split: bool = False) -> np.ndarray:
-    """[N, C, H, W] -> [s*s, C, N*hq*wq + slack], the stride phases of
-    ``a`` zero-padded by p.  With ``split`` each phase is copied in
-    channel ranges of about ``_BLOCK`` elements, shared over two
-    threads; else one copy per phase."""
-    n, c, h, w = a.shape
-    buf = np.zeros((s * s, c, n * hq * wq + slack), dtype=a.dtype)
-    grid = buf[:, :, :n * hq * wq].reshape(s * s, c, n, hq, wq)
+    """m [N, C, H, W] maps -> [s*s, m*C, N*hq*wq + slack], the stride
+    phases of the maps zero-padded by p: channel c of ``parts[i]`` is
+    channel c*m + i.  With ``split`` each phase is copied in channel
+    ranges of about ``_BLOCK`` elements, shared over two threads; else
+    one copy per phase and map."""
+    m = len(parts)
+    n, c, h, w = parts[0].shape
+    buf = np.zeros((s * s, c * m, n * hq * wq + slack),
+                   dtype=np.result_type(*parts))
+    grid = buf[:, :, :n * hq * wq].reshape(s * s, c, m, n, hq, wq)
     maps = list(_phase_map(s, p, h, w))
-    chans = max(_BLOCK // (n * hq * wq), 1) if split else c
+    chans = max(_BLOCK // (m * n * hq * wq), 1) if split else c
     ranges = -(-c // chans)
 
     def block(i):
         ph, src, dst = maps[i // ranges]
         ch = slice(i % ranges * chans, (i % ranges + 1) * chans)
-        grid[ph, ch][dst] = a[:, ch][src].swapaxes(0, 1)
+        for j, a in enumerate(parts):
+            grid[ph, ch, j][dst] = a[:, ch][src].swapaxes(0, 1)
 
     _blocks(block, len(maps) * ranges, split)
     return buf
@@ -473,23 +457,24 @@ def _unphase(buf: np.ndarray, s: int, p: int, n: int, h: int, w: int,
     return out
 
 
-def _conv(name: str, x: Tensor, weight: Tensor, bias, s: int,
+def _conv(name: str, xs: tuple, weight: Tensor, bias, s: int,
           p: int) -> Tensor:
     """The one convolution core: one GEMM per kernel tap, no patch matrix.
 
-    ``x`` is [N, C, ..., H, W] and ``weight`` [K, C, ..., kh, kw] whose
-    middle axes span the input's, so they fold into channels: the output
-    is [N, K, H', W'] at stride s and padding p.  Callers validate
-    shapes.  Tap (i, j) reads phase (i mod s, j mod s) at column offset
-    (i div s)*wq + (j div s); the output is the H' x W' corner of each
-    hq x wq block of the [K, N*hq*wq] output grid."""
-    n, k = x.shape[0], weight.shape[0]
-    h, w = x.shape[-2:]
+    ``xs`` holds m [N, C, H, W] inputs and ``weight`` is [K, C, m, kh,
+    kw] (for m = 1 also [K, C, kh, kw]): channel c of input i is channel
+    c*m + i of one folded input, so the output is [N, K, H', W'] at
+    stride s and padding p.  Callers validate shapes.  Tap (i, j) reads
+    phase (i mod s, j mod s) at column offset (i div s)*wq + (j div s);
+    the output is the H' x W' corner of each hq x wq block of the
+    [K, N*hq*wq] output grid."""
+    n, _, h, w = xs[0].shape
+    k = weight.shape[0]
     kh, kw = weight.shape[-2:]
-    if kh == kw == 1 and s == 1 and p == 0:
-        return _pointwise(name, x, weight, bias)
-    xd = x.data.reshape(n, -1, h, w)
-    c = xd.shape[1]
+    if len(xs) == 1 and kh == kw == 1 and s == 1 and p == 0:
+        return _pointwise(name, xs[0], weight, bias)
+    parts = [x.data for x in xs]
+    c = xs[0].shape[1] * len(xs)
     ho, wo = (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1
     hq, wq = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
     cols = n * hq * wq
@@ -504,7 +489,7 @@ def _conv(name: str, x: Tensor, weight: Tensor, bias, s: int,
     step = max(_BLOCK // k, 1)
     blocks = -(-cols // step)
     split = _splits(k * cols, blocks, k * c * len(taps) * cols)
-    xq = _phases(xd, s, p, hq, wq, slack, split)
+    xq = _phases(parts, s, p, hq, wq, slack, split)
     grid = np.empty((k, cols), dtype=np.result_type(xq, wtaps))
     bias_d = None if bias is None else bias.data[:, None]
 
@@ -528,12 +513,12 @@ def _conv(name: str, x: Tensor, weight: Tensor, bias, s: int,
     else:
         out_d = _unphase(grid[None], 1, 0, n, ho, wo, hq, wq)
     out = Tensor(out_d)
-    inputs = (x, weight) if bias is None else (x, weight, bias)
+    inputs = xs + ((weight,) if bias is None else (weight, bias))
 
     def weight_grad(gq):
         # Rebuilt rather than kept from the forward: holding every phase
         # buffer until backward costs more memory than time.
-        xq = _phases(xd, s, p, hq, wq, slack)
+        xq = _phases(parts, s, p, hq, wq, slack)
         return np.stack([gq @ xq[ph, :, off:off + cols].T
                          for ph, off in taps], axis=2).reshape(weight.shape)
 
@@ -541,17 +526,20 @@ def _conv(name: str, x: Tensor, weight: Tensor, bias, s: int,
         dxq = np.zeros((s * s, c, cols + slack), dtype=gq.dtype)
         for wt, (ph, off) in zip(wtaps, taps):
             dxq[ph, :, off:off + cols] += wt.T @ gq
-        return _unphase(dxq, s, p, n, h, w, hq, wq).reshape(x.shape)
+        return _unphase(dxq, s, p, n, h, w, hq, wq).reshape(
+            n, -1, len(xs), h, w)
 
     def adjoint(g):
         # The output gradient on the forward's grid, zero where it cropped.
-        gq = _phases(g, 1, 0, hq, wq)[0]
+        gq = _phases([g], 1, 0, hq, wq)[0]
         if bias is not None and bias.requires_grad:
             accumulate(bias, gq.sum(axis=1))
         if weight.requires_grad:
             accumulate(weight, weight_grad(gq))
-        if x.requires_grad:
-            accumulate(x, input_grad(gq))
+        if any(x.requires_grad for x in xs):
+            gx = input_grad(gq)
+            for i, x in enumerate(xs):
+                accumulate(x, gx[:, :, i])
 
     return record(name, inputs, out, adjoint)
 
@@ -594,66 +582,55 @@ def _pointwise(name: str, x: Tensor, weight: Tensor, bias) -> Tensor:
     return record(name, inputs, out, adjoint)
 
 
+def _check_conv(name: str, x: Tensor, weight: Tensor, bias, stride: int,
+                padding: int) -> None:
+    """Shape checks shared by both convolutions: ``x`` is an [N,C,H,W]
+    map and ``weight`` [K,C,...,kh,kw]."""
+    if x.ndim != 4:
+        raise ShapeError(f"{name}: input must be [N,C,H,W], got {x.shape}")
+    c, h, w = x.shape[1:]
+    k, cw, kh, kw = weight.shape[:2] + weight.shape[-2:]
+    if cw != c:
+        raise ShapeError(f"{name}: input has {c} channels on axis 1 but "
+                         f"weight expects {cw}")
+    if stride < 1 or padding < 0:
+        raise ShapeError(f"{name}: stride must be >= 1 and padding >= 0")
+    hp, wp = h + 2 * padding, w + 2 * padding
+    if kh > hp:
+        raise ShapeError(f"{name}: kernel height {kh} exceeds padded input "
+                         f"height {hp} (axis 2)")
+    if kw > wp:
+        raise ShapeError(f"{name}: kernel width {kw} exceeds padded input "
+                         f"width {wp} (axis 3)")
+    if bias is not None and bias.shape != (k,):
+        raise ShapeError(f"{name}: bias shape {bias.shape} does not match "
+                         f"{k} output channels (axis 1)")
+
+
 def conv2d(x: Tensor, weight: Tensor, bias, stride: int = 1,
            padding: int = 0) -> Tensor:
     """2-d cross-correlation of [N,C,H,W] with [K,C,kh,kw] plus bias."""
-    if x.ndim != 4:
-        raise ShapeError(f"conv2d: input must be [N,C,H,W], got {x.shape}")
     if weight.ndim != 4:
         raise ShapeError(f"conv2d: weight must be [K,C,kh,kw], got {weight.shape}")
-    n, c, h, w = x.shape
-    k, cw, kh, kw = weight.shape
-    if cw != c:
-        raise ShapeError(f"conv2d: input has {c} channels on axis 1 but "
-                         f"weight expects {cw}")
-    if stride < 1 or padding < 0:
-        raise ShapeError("conv2d: stride must be >= 1 and padding >= 0")
-    hp, wp = h + 2 * padding, w + 2 * padding
-    if kh > hp:
-        raise ShapeError(f"conv2d: kernel height {kh} exceeds padded input "
-                         f"height {hp} (axis 2)")
-    if kw > wp:
-        raise ShapeError(f"conv2d: kernel width {kw} exceeds padded input "
-                         f"width {wp} (axis 3)")
-    if bias is not None and bias.shape != (k,):
-        raise ShapeError(f"conv2d: bias shape {bias.shape} does not match "
-                         f"{k} output channels (axis 1)")
-    return _conv("conv2d", x, weight, bias, stride, padding)
+    _check_conv("conv2d", x, weight, bias, stride, padding)
+    return _conv("conv2d", (x,), weight, bias, stride, padding)
 
 
-def conv3d(x: Tensor, weight: Tensor, bias, padding=(0, 0, 0)) -> Tensor:
-    """3-d cross-correlation of [N,C,T,H,W] with [K,C,T,kh,kw], stride 1.
-
-    Only a kernel spanning the whole time axis is supported (kt == T, no
-    time padding, equal spatial padding), which makes it a conv2d of the
-    input with time folded into channels; the output is [N,K,H',W'].
+def conv3d(first: Tensor, second: Tensor, weight: Tensor, bias,
+           padding: int = 0) -> Tensor:
+    """3-d cross-correlation, stride 1, of a pair of [N,C,H,W] maps taken
+    as the two time steps of [N,C,2,H,W], with a [K,C,2,kh,kw] kernel
+    that spans both: the output is [N,K,H',W'] and ``padding`` is
+    spatial.  The maps go straight into the convolution's phase buffer,
+    time folded into channels as channel c of time step t at 2c + t.
     """
-    if x.ndim != 5:
-        raise ShapeError(f"conv3d: input must be [N,C,T,H,W], got {x.shape}")
-    if weight.ndim != 5:
-        raise ShapeError(f"conv3d: weight must be [K,C,kt,kh,kw], got {weight.shape}")
-    n, c, t, h, w = x.shape
-    k, cw, kt, kh, kw = weight.shape
-    if cw != c:
-        raise ShapeError(f"conv3d: input has {c} channels on axis 1 but "
-                         f"weight expects {cw}")
-    pt, ph, pw = padding
-    dims = (t + 2 * pt, h + 2 * ph, w + 2 * pw)
-    for ax, (kdim, pdim) in enumerate(zip((kt, kh, kw), dims), start=2):
-        if kdim > pdim:
-            raise ShapeError(f"conv3d: kernel size {kdim} exceeds padded "
-                             f"input size {pdim} (axis {ax})")
-    if kt != t or pt != 0:
-        raise ShapeError(f"conv3d: the kernel must span the time axis "
-                         f"unpadded (kt == T, no time padding), got kt={kt}, "
-                         f"T={t}, time padding {pt} (axis 2)")
-    if ph != pw:
-        raise ShapeError(f"conv3d: spatial padding must be equal on axes 3 "
-                         f"and 4, got {ph} and {pw}")
-    if bias is not None and bias.shape != (k,):
-        raise ShapeError(f"conv3d: bias shape {bias.shape} does not match "
-                         f"{k} output channels (axis 1)")
-    return _conv("conv3d", x, weight, bias, 1, ph)
+    same_shape("conv3d", first, second)
+    if weight.ndim != 5 or weight.shape[2] != 2:
+        raise ShapeError(f"conv3d: the kernel must span the pair's two time "
+                         f"steps (kt == T == 2): weight must be "
+                         f"[K,C,2,kh,kw], got {weight.shape}")
+    _check_conv("conv3d", first, weight, bias, 1, padding)
+    return _conv("conv3d", (first, second), weight, bias, 1, padding)
 
 
 # ---------------------------------------------------------------------------

@@ -106,32 +106,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    # Small amount of operator sugar for tests; every dunder routes
-    # through a recorded primitive in ops.py.
-    def __add__(self, other):
-        from . import ops
-        return ops.add(self, other)
-
-    def __radd__(self, other):
-        from . import ops
-        return ops.add(self, other)
-
-    def __mul__(self, other):
-        from . import ops
-        return ops.mul(self, other)
-
-    def __rmul__(self, other):
-        from . import ops
-        return ops.mul(self, other)
-
-    def __neg__(self):
-        from . import ops
-        return ops.mul(self, -1.0)
-
-    def sum(self) -> "Tensor":
-        from . import ops
-        return ops.sum_all(self)
-
     def __repr__(self) -> str:
         flags = []
         if self.requires_grad:

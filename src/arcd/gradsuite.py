@@ -173,9 +173,9 @@ def build_suite() -> list[SuiteCase]:
             lambda x, w, b: projected_sum(ops.conv2d(x, w, b), s),
             [(2, 4, 5, 5), (3, 4, 1, 1), (3,)], s)),
         SuiteCase("conv3d", 1e-4, lambda s: gradcheck(
-            lambda x, w, b: projected_sum(
-                ops.conv3d(x, w, b, padding=(0, 1, 1)), s),
-            [(1, 3, 2, 4, 4), (4, 3, 2, 3, 3), (4,)], s)),
+            lambda x1, x2, w, b: projected_sum(
+                ops.conv3d(x1, x2, w, b, padding=1), s),
+            [(1, 3, 4, 4), (1, 3, 4, 4), (4, 3, 2, 3, 3), (4,)], s)),
         SuiteCase("batch_norm_train", 1e-4, _bn_case),
         SuiteCase("batch_norm_grouped", 1e-4, _bn_grouped_case),
         SuiteCase("batch_norm_eval", 1e-4, _bn_eval_case),

@@ -175,10 +175,10 @@ class GatedFusion(Module):
 class TemporalDifference(Module):
     """Order-symmetric change features from a Siamese pair of feature maps.
 
-    Both stacking orders [a,b] and [b,a] pass through one shared
-    temporal-extent-2 3-d conv block (for a stacked pair [a; b] as one
-    batch, with per-order batch statistics); summing the two order
-    responses makes the output exactly symmetric in its inputs.
+    Both orders (a, b) and (b, a) pass through one shared conv block
+    whose 2x3x3 kernel spans the two epochs (for a stacked pair [a; b]
+    as one batch, with per-order batch statistics); summing the two
+    order responses makes the output exactly symmetric in its inputs.
     """
 
     def __init__(self, channels: int, *, rng, dtype=np.float32):
@@ -188,7 +188,7 @@ class TemporalDifference(Module):
         self.proj = Conv2d(channels, channels, 1, rng=rng, dtype=dtype)
 
     def _order_response(self, first: Tensor, second: Tensor) -> Tensor:
-        return ops.relu(self.bn(self.conv(ops.stack_time(first, second))))
+        return ops.relu(self.bn(self.conv(first, second)))
 
     def forward(self, pair) -> Tensor:
         if isinstance(pair, Tensor):

@@ -114,8 +114,9 @@ class Conv2d(Module):
 
 
 class Conv3d(Module):
-    """2x3x3 convolution with a bias over a stacked [N, C, 2, H, W] pair:
-    it collapses the two epochs and keeps the spatial size."""
+    """2x3x3 convolution with a bias over a pair of [N, C, H, W] maps
+    taken as two time steps: it collapses the two epochs and keeps the
+    spatial size."""
 
     def __init__(self, in_ch: int, out_ch: int, *, rng: np.random.Generator,
                  dtype=np.float32):
@@ -124,8 +125,8 @@ class Conv3d(Module):
             _uniform(rng, in_ch * 2 * 3 * 3, (out_ch, in_ch, 2, 3, 3), dtype))
         self.bias = Parameter(np.zeros(out_ch, dtype=dtype), decay=False)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.conv3d(x, self.weight, self.bias, padding=(0, 1, 1))
+    def forward(self, first: Tensor, second: Tensor) -> Tensor:
+        return ops.conv3d(first, second, self.weight, self.bias, padding=1)
 
 
 class BatchNorm(Module):

@@ -18,6 +18,7 @@ status is 0 whatever fails.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,9 +53,8 @@ def survey(kernel: str) -> dict:
             core = line.split(": ", 1)[1]
         elif line.startswith(("FAILED ", "ERROR ")):
             failed.append(line.split(" ", 1)[1].split(" - ", 1)[0])
-        elif " passed" in line and line.endswith("s"):
-            words = line.replace(",", " ").split()
-            passed = int(words[words.index("passed") - 1])
+        elif summary := re.search(r"(\d+) passed.* in \d", line):
+            passed = int(summary.group(1))
     return {"requested": kernel, "blas_core": core, "passed": passed,
             "failed": failed, "exit_status": proc.returncode}
 

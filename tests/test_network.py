@@ -396,6 +396,23 @@ class TestFullNetwork:
             tracemalloc.stop()
         assert peak <= 4.0e6
 
+    def test_eval_difference_block_peak_memory_256(self):
+        # The pair goes straight into each order's phase buffer: stacking
+        # it into a [1,16,2,256,256] copy first peaked at 6.2 outputs.
+        rng = np.random.default_rng(26)
+        tde = TemporalDifference(16, rng=rng, dtype=np.float32)
+        tde.eval()
+        a, b = (Tensor(rng.standard_normal((1, 16, 256, 256))
+                       .astype(np.float32)) for _ in range(2))
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = tde((a, b))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * out.data.nbytes
+
     # sha256 of predict's change then uncertainty bytes for
     # ChangeDetector(seed=5) on a fixed 1x256^2 pair, by OpenBLAS kernel
     # at one BLAS thread (tests/predict_digest.py prints them): GEMM
@@ -556,9 +573,9 @@ class TestFullNetwork:
 
     # Record entries of that step, per variant.
     RECORD_LENGTHS = {
-        "full": 377, "fam-wo-gate": 362, "wo-oue": 338, "oue-wo-ual": 369,
-        "oue-boundary-sup": 377, "wo-krm": 167, "krm-wo-coa": 356,
-        "krm-wo-rea": 368, "krm-wo-coa-rea": 341,
+        "full": 372, "fam-wo-gate": 357, "wo-oue": 334, "oue-wo-ual": 364,
+        "oue-boundary-sup": 372, "wo-krm": 162, "krm-wo-coa": 351,
+        "krm-wo-rea": 363, "krm-wo-coa-rea": 336,
     }
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
@@ -591,12 +608,13 @@ class TestFullNetwork:
     @staticmethod
     def _batches_seen(monkeypatch):
         """Wrap every primitive to log the batch size of each activation
-        it reads (not weights, which a conv takes second)."""
+        it reads (not weights, which a conv takes after its maps)."""
         seen = []
+        maps = {"conv2d": 1, "conv3d": 2}
 
         def wrap(name, fn):
             def logged(*args, **kwargs):
-                data = args[:1] if name in ("conv2d", "conv3d") else args
+                data = args[:maps.get(name, len(args))]
                 for a in data:
                     for t in (a if isinstance(a, list) else [a]):
                         if (isinstance(t, Tensor)

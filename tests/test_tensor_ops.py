@@ -16,6 +16,8 @@ import pytest
 from arcd.autodiff import ShapeError, Tensor, backward, no_grad, ops
 from arcd.autodiff.tensor import clear_record, record_length
 
+import predict_digest
+
 
 def naive_conv2d(x, w, b, stride, padding):
     """Direct six-nested-loop cross-correlation."""
@@ -206,61 +208,65 @@ class TestPointwiseConv:
 
 class TestConv3d:
     def test_temporal_dot_product(self):
-        x = Tensor(np.array([3.0, 5.0]).reshape(1, 1, 2, 1, 1))
+        x = np.array([3.0, 5.0]).reshape(1, 1, 2, 1, 1)
         w = Tensor(np.array([2.0, 7.0]).reshape(1, 1, 2, 1, 1))
         b = Tensor(np.zeros(1))
-        y = ops.conv3d(x, w, b)
+        y = ops.conv3d(Tensor(x[:, :, 0]), Tensor(x[:, :, 1]), w, b)
         assert y.shape == (1, 1, 1, 1)
         assert y.data.item() == pytest.approx(2 * 3 + 7 * 5, abs=1e-15)
 
     def test_zero_input_broadcasts_bias(self):
-        x = Tensor(np.zeros((1, 2, 2, 3, 3)))
+        x = np.zeros((1, 2, 2, 3, 3))
         w = Tensor(np.zeros((4, 2, 2, 3, 3)))
         b = Tensor(np.array([1.0, -2.0, 0.5, 3.0]))
-        y = ops.conv3d(x, w, b, padding=(0, 1, 1))
+        y = ops.conv3d(Tensor(x[:, :, 0]), Tensor(x[:, :, 1]), w, b,
+                       padding=1)
         for k in range(4):
             assert (y.data[:, k] == b.data[k]).all()
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(7)
-        x = Tensor(rng.standard_normal((1, 2, 2, 4, 4)))
+        x = rng.standard_normal((1, 2, 2, 4, 4))
         w = Tensor(rng.standard_normal((3, 2, 2, 3, 3)))
         b = Tensor(rng.standard_normal(3))
-        got = ops.conv3d(x, w, b, padding=(0, 1, 1)).data
-        want = naive_conv3d(x.data, w.data, b.data, (0, 1, 1))[:, :, 0]
+        got = ops.conv3d(Tensor(x[:, :, 0]), Tensor(x[:, :, 1]), w, b,
+                         padding=1).data
+        want = naive_conv3d(x, w.data, b.data, (0, 1, 1))[:, :, 0]
         assert got.shape == want.shape
         assert np.abs(got - want).max() < 1e-12
 
     def test_equals_conv2d_with_time_folded_into_channels(self):
         rng = np.random.default_rng(8)
-        x = Tensor(rng.standard_normal((2, 3, 2, 5, 6)), requires_grad=True)
+        x = rng.standard_normal((2, 3, 2, 5, 6))
+        first = Tensor(x[:, :, 0], requires_grad=True)
+        second = Tensor(x[:, :, 1], requires_grad=True)
         w = Tensor(rng.standard_normal((4, 3, 2, 3, 3)), requires_grad=True)
         b = Tensor(rng.standard_normal(4), requires_grad=True)
-        x2 = Tensor(x.data.reshape(2, 6, 5, 6), requires_grad=True)
+        x2 = Tensor(x.reshape(2, 6, 5, 6), requires_grad=True)
         w2 = Tensor(w.data.reshape(4, 6, 3, 3), requires_grad=True)
         b2 = Tensor(b.data.copy(), requires_grad=True)
         seed = rng.standard_normal((2, 4, 5, 6))
-        y3 = ops.conv3d(x, w, b, padding=(0, 1, 1))
+        y3 = ops.conv3d(first, second, w, b, padding=1)
         backward(ops.sum_all(ops.mul(y3, Tensor(seed))))
         y2 = ops.conv2d(x2, w2, b2, padding=1)
         backward(ops.sum_all(ops.mul(y2, Tensor(seed))))
         assert y3.shape == (2, 4, 5, 6)
         assert np.array_equal(y3.data, y2.data)
-        assert np.array_equal(x.grad.reshape(x2.shape), x2.grad)
+        gx = np.stack([first.grad, second.grad], axis=2)
+        assert np.array_equal(gx.reshape(x2.shape), x2.grad)
         assert np.array_equal(w.grad.reshape(w2.shape), w2.grad)
         assert np.array_equal(b.grad, b2.grad)
 
-    @pytest.mark.parametrize("shape_x,shape_w,padding,match", [
-        ((1, 2, 3, 4, 4), (3, 2, 2, 3, 3), (0, 1, 1), "kt == T"),
-        ((1, 2, 2, 4, 4), (3, 2, 2, 3, 3), (1, 1, 1), "time padding"),
-        ((1, 2, 2, 4, 4), (3, 2, 2, 3, 3), (0, 1, 0), "spatial padding"),
+    @pytest.mark.parametrize("shape_second,shape_w,match", [
+        ((1, 2, 4, 4), (3, 2, 3, 3, 3), "kt == T"),
+        ((1, 2, 4, 5), (3, 2, 2, 3, 3), "shapes .* differ"),
     ])
-    def test_unsupported_shapes_rejected(self, shape_x, shape_w, padding,
-                                         match):
-        x = Tensor(np.zeros(shape_x))
+    def test_unsupported_shapes_rejected(self, shape_second, shape_w, match):
+        first = Tensor(np.zeros((1, 2, 4, 4)))
+        second = Tensor(np.zeros(shape_second))
         w = Tensor(np.zeros(shape_w))
         with pytest.raises(ShapeError, match=match):
-            ops.conv3d(x, w, None, padding=padding)
+            ops.conv3d(first, second, w, None, padding=1)
 
 
 class TestSingleSampleConv:
@@ -280,7 +286,8 @@ class TestSingleSampleConv:
         else:
             x = rng.standard_normal((1, 3, 2, 7, 9))
             w = rng.standard_normal((4, 3, 2, 3, 3))
-            y = ops.conv3d(Tensor(x), Tensor(w), Tensor(b), padding=(0, 1, 1))
+            y = ops.conv3d(Tensor(x[:, :, 0]), Tensor(x[:, :, 1]), Tensor(w),
+                           Tensor(b), padding=1)
             want = naive_conv3d(x, w, b, (0, 1, 1))[:, :, 0]
         assert y.shape == want.shape
         assert np.abs(y.data - want).max() < 1e-12
@@ -348,8 +355,7 @@ def logged_starts(monkeypatch=None):
 GATED_CONVS = {
     "3x3": ("conv2d", (1, 8, 190, 190), (16, 8, 3, 3), 1, 1),
     "stem": ("conv2d", (1, 3, 361, 361), (16, 3, 3, 3), 2, 1),
-    "conv3d": ("conv3d", (1, 8, 2, 190, 190), (16, 8, 2, 3, 3), 1,
-               (0, 1, 1)),
+    "conv3d": ("conv3d", (1, 8, 2, 190, 190), (16, 8, 2, 3, 3), 1, 1),
     "pointwise": ("conv2d", (1, 16, 183, 183), (16, 16, 1, 1), 1, 0),
 }
 
@@ -358,13 +364,14 @@ def gated_conv(case, n, dtype, with_bias=True):
     """Output of GATED_CONVS[case] at batch size n, and its bias."""
     op, xs, ws, stride, padding = GATED_CONVS[case]
     rng = np.random.default_rng(60 + n)
-    x = Tensor(rng.standard_normal((n,) + xs[1:]).astype(dtype))
+    x = rng.standard_normal((n,) + xs[1:]).astype(dtype)
     w = Tensor(rng.standard_normal(ws).astype(dtype))
     b = Tensor(rng.standard_normal(ws[0]).astype(dtype))
     if op == "conv3d":
-        y = ops.conv3d(x, w, b if with_bias else None, padding=padding)
+        y = ops.conv3d(Tensor(x[:, :, 0]), Tensor(x[:, :, 1]), w,
+                       b if with_bias else None, padding=padding)
     else:
-        y = ops.conv2d(x, w, b if with_bias else None, stride=stride,
+        y = ops.conv2d(Tensor(x), w, b if with_bias else None, stride=stride,
                        padding=padding)
     assert y.dtype == dtype
     return y.data, b.data
@@ -479,15 +486,17 @@ class TestTwoThreadConv:
         assert bool(calls) == split
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("stride", [1, 2])
     def test_split_phases_are_the_serial_bytes(self, monkeypatch, stride, n,
-                                               dtype):
+                                               m, dtype):
         calls = split_calls(monkeypatch)
-        a = np.random.default_rng(stride).standard_normal(
-            (n, 8, 190, 190)).astype(dtype)
+        rng = np.random.default_rng(stride)
+        parts = [rng.standard_normal((n, 8, 190, 190)).astype(dtype)
+                 for _ in range(m)]
         hq = -(-(190 + 2) // stride)
-        args = (a, stride, 1, hq, hq, 2 * hq + 2)
+        args = (parts, stride, 1, hq, hq, 2 * hq + 2)
         assert (ops._phases(*args, split=True).tobytes()
                 == ops._phases(*args).tobytes())
         assert len(calls) == 1 and calls[0] >= 8
@@ -591,17 +600,16 @@ def training_step_digest():
 ADJOINT_CONVS = {
     "3x3": ("conv2d", (32, 32, 32), (32, 32, 3, 3), 1, 1),
     "stride-2": ("conv2d", (16, 64, 64), (32, 16, 3, 3), 2, 1),
-    "conv3d": ("conv3d", (16, 2, 32, 32), (16, 16, 2, 3, 3), 1, (0, 1, 1)),
+    "conv3d": ("conv3d", (16, 2, 32, 32), (16, 16, 2, 3, 3), 1, 1),
 }
 
 
 def adjoint_inputs(case, n, dtype):
     """x, w, b and r of ``sum(conv(x, w, b) * r)`` for ADJOINT_CONVS[case]
     at batch size n."""
-    op, xs, ws, stride, padding = ADJOINT_CONVS[case]
-    pads = padding if op == "conv3d" else (padding, padding)
-    grid = tuple((size + 2 * p - k) // stride + 1
-                 for size, p, k in zip(xs[-2:], pads[-2:], ws[-2:]))
+    _, xs, ws, stride, padding = ADJOINT_CONVS[case]
+    grid = tuple((size + 2 * padding - k) // stride + 1
+                 for size, k in zip(xs[-2:], ws[-2:]))
     rng = np.random.default_rng(80 + n)
     return tuple(rng.standard_normal(shape).astype(dtype) for shape in
                  ((n,) + xs, ws, ws[0], (n, ws[0]) + grid))
@@ -610,27 +618,33 @@ def adjoint_inputs(case, n, dtype):
 def adjoint_grads(case, n, dtype, weight_grad=True, input_grad=True):
     """Bytes of the input, weight and bias gradients (None where not
     required) of ``sum(conv(x, w, b) * r)`` for ADJOINT_CONVS[case] at
-    batch size n."""
+    batch size n.  A conv3d input gradient is its two maps' gradients
+    stacked along the time axis."""
     op, _, _, stride, padding = ADJOINT_CONVS[case]
     xd, wd, bd, rd = adjoint_inputs(case, n, dtype)
-    x = Tensor(xd, requires_grad=input_grad)
     w = Tensor(wd, requires_grad=weight_grad)
     b = Tensor(bd, requires_grad=True)
     if op == "conv3d":
-        y = ops.conv3d(x, w, b, padding=padding)
+        xs = [Tensor(xd[:, :, t], requires_grad=input_grad) for t in (0, 1)]
+        y = ops.conv3d(*xs, w, b, padding=padding)
     else:
-        y = ops.conv2d(x, w, b, stride=stride, padding=padding)
+        xs = [Tensor(xd, requires_grad=input_grad)]
+        y = ops.conv2d(xs[0], w, b, stride=stride, padding=padding)
     backward(ops.sum_all(ops.mul(y, Tensor(rd))))
-    return [None if t.grad is None else t.grad.tobytes() for t in (x, w, b)]
+    gx = None
+    if input_grad:
+        gx = np.stack([x.grad for x in xs], axis=2).reshape(xd.shape)
+    return [None if g is None else g.tobytes() for g in (gx, w.grad, b.grad)]
 
 
 def tap_adjoint(x, w, r, stride, padding):
     """float64 dL/dx, dL/dw and dL/db of L = sum(conv(x, w, b) * r) for a
-    2-d or 3-d convolution, one kernel tap at a time.  A 3-d r may lack
-    the time axis, which conv3d's kernel spans."""
+    2-d or 3-d convolution, one kernel tap at a time, ``padding`` on the
+    two spatial axes only.  A 3-d r may lack the time axis, which
+    conv3d's kernel spans."""
     x, w, r = (a.astype(np.float64) for a in (x, w, r))
     r = r.reshape(r.shape[:2] + (1,) * (x.ndim - r.ndim) + r.shape[2:])
-    pads = padding if isinstance(padding, tuple) else (padding,) * (x.ndim - 2)
+    pads = (0,) * (x.ndim - 4) + (padding, padding)
     xp = np.pad(x, [(0, 0), (0, 0)] + [(p, p) for p in pads])
     gxp = np.zeros_like(xp)
     gw = np.zeros_like(w)
@@ -713,7 +727,6 @@ GATED_ELEMENTWISE = {
     "batch_norm": lambda x, y, rng: _batch_norm_eval(x, rng),
     "concat": lambda x, y, rng: ops.concat(
         [x, _like(rng, x, (x.shape[0], 3) + x.shape[2:]), y], axis=1),
-    "stack_time": lambda x, y, rng: ops.stack_time(x, y),
 }
 
 
@@ -1193,13 +1206,6 @@ class TestElementwise:
         assert np.allclose(m.grad, x.data.sum(axis=1, keepdims=True))
         assert np.allclose(x.grad, s.data + m.data)
 
-    def test_stack_time(self):
-        a = Tensor(np.ones((1, 2, 3, 3)))
-        b = Tensor(np.zeros((1, 2, 3, 3)))
-        y = ops.stack_time(a, b)
-        assert y.shape == (1, 2, 2, 3, 3)
-        assert (y.data[:, :, 0] == 1.0).all() and (y.data[:, :, 1] == 0.0).all()
-
 
 def dense_upsample(x, factor):
     """Bilinear upsampling as two dense contractions with the whole
@@ -1217,6 +1223,23 @@ NETWORK_UPSAMPLES = [(16, 8, 2), (16, 16, 4), (16, 32, 8), (128, 32, 2),
                      (1, 16, 4), (1, 32, 8)]
 # The training loss also takes the side maps to full resolution.
 LOSS_UPSAMPLES = [(1, 8, 8), (1, 16, 16), (1, 32, 32)]
+# OpenBLAS kernels whose GEMM sums each band's input range as it sums the
+# whole range on every shape above, so that the banded forward gives the
+# dense contraction's bytes.  Haswell's (and Zen's, which maps to it)
+# does not on some shapes.
+DENSE_BYTES_KERNELS = ("SkylakeX", "Sandybridge", "Nehalem", "Katmai")
+
+
+def assert_dense_upsample(y, x, factor, where):
+    """``y`` is the dense upsampling of ``x``: its bytes on a kernel of
+    DENSE_BYTES_KERNELS, else within 1e-6 (float32) or 1e-15 (float64)
+    of the dense result's largest entry."""
+    dense = dense_upsample(x, factor)
+    if predict_digest.blas_core() in DENSE_BYTES_KERNELS:
+        assert y.tobytes() == dense.tobytes(), where
+    else:
+        tol = 1e-6 if x.dtype == np.float32 else 1e-15
+        assert np.abs(y - dense).max() <= tol * np.abs(dense).max(), where
 
 
 class TestUpsample:
@@ -1230,7 +1253,7 @@ class TestUpsample:
             side = s // divisor
             x = rng.standard_normal((1, channels, side, side)).astype(dtype)
             y = ops.upsample_bilinear(Tensor(x), factor).data
-            assert y.tobytes() == dense_upsample(x, factor).tobytes(), s
+            assert_dense_upsample(y, x, factor, s)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n", [2, 4, 8])
@@ -1244,8 +1267,7 @@ class TestUpsample:
                 x = rng.standard_normal((n, channels, side, side)).astype(
                     dtype)
                 y = ops.upsample_bilinear(Tensor(x), factor).data
-                assert (y.tobytes()
-                        == dense_upsample(x, factor).tobytes()), (s, factor)
+                assert_dense_upsample(y, x, factor, (s, factor))
 
     @pytest.mark.parametrize("shape,factor", [((1, 1, 512, 512), 4),
                                               ((1, 1, 128, 12), 2),
